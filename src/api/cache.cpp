@@ -1,6 +1,9 @@
 #include "api/cache.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -18,7 +21,9 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr std::string_view kResultSchema = "ptecps-cache-result";
-constexpr std::int64_t kResultSchemaVersion = 1;
+// 2: an entry is the JobResult Service::run returns, whichever entry
+// point stored it.
+constexpr std::int64_t kResultSchemaVersion = 2;
 
 std::optional<std::string> read_file(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
@@ -28,11 +33,17 @@ std::optional<std::string> read_file(const fs::path& path) {
   return bytes;
 }
 
+/// A writer's in-flight file; stats() and gc() leave these alone.
+bool is_temp(const fs::path& path) { return path.native().ends_with(".tmp"); }
+
 /// Atomic publish: readers see the old entry or the new one, never a
-/// torn write.  Returns false on any I/O failure (the cache is advisory;
-/// a failed store is just a future miss).
+/// torn write.  Each store writes its own temp file (pid + per-process
+/// counter), so concurrent same-key writers — threads or processes —
+/// never share an inode.  Returns false on any I/O failure (the cache
+/// is advisory; a failed store is just a future miss).
 bool write_file_atomic(const fs::path& path, const void* data, std::size_t size) {
-  const fs::path tmp = path.string() + ".tmp";
+  static std::atomic<std::uint64_t> counter{0};
+  const fs::path tmp = util::cat(path.string(), ".", ::getpid(), ".", counter++, ".tmp");
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return false;
@@ -172,7 +183,7 @@ CacheStats ResultCache::stats() const {
   std::error_code ec;
   for (const char* sub : {"results", "checkpoints"}) {
     for (const auto& entry : fs::directory_iterator(fs::path(options_.dir) / sub, ec)) {
-      if (!entry.is_regular_file(ec)) continue;
+      if (!entry.is_regular_file(ec) || is_temp(entry.path())) continue;
       (sub[0] == 'r' ? s.results : s.checkpoints) += 1;
       s.bytes += entry.file_size(ec);
     }
@@ -203,7 +214,7 @@ std::size_t ResultCache::gc() const {
   std::error_code ec;
   for (const char* sub : {"results", "checkpoints"}) {
     for (const auto& it : fs::directory_iterator(fs::path(options_.dir) / sub, ec)) {
-      if (!it.is_regular_file(ec)) continue;
+      if (!it.is_regular_file(ec) || is_temp(it.path())) continue;
       Entry e;
       e.path = it.path();
       e.size = it.file_size(ec);

@@ -5,6 +5,7 @@
 #include <exception>
 #include <map>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "scenarios/canonical.hpp"
@@ -43,39 +44,263 @@ void finalize_verdict(JobResult& result, const std::optional<verify::VerifyStatu
               (!result.crossval.has_value() || result.crossval->ok());
 }
 
-/// A job's answer carved out of a matrix campaign, in the exact shape
-/// Service::run would have produced solo — what run_matrix stores per
-/// miss.  Campaign-level wall numbers stand in for the would-be solo
-/// run's: timing is metadata, not part of the cached contract.
-JobResult single_scenario_result(const campaign::ScenarioOutcome& outcome,
-                                 const campaign::CampaignReport& fresh,
-                                 const std::optional<scenarios::CrossCheck>& check) {
-  JobResult single;
-  single.scenario = outcome.name;
-  campaign::CampaignReport sub;
-  sub.threads = fresh.threads;
-  sub.wall_seconds = fresh.wall_seconds;
-  sub.runs_per_second = fresh.runs_per_second;
-  sub.total_runs = outcome.runs.size();
-  sub.total_violations = outcome.total_violations;
-  sub.censored_sessions = outcome.censored_sessions;
+/// A job's answer out of the campaign slot that ran it, filled into
+/// `result` (which already names the scenario and the expectation) — the
+/// ONE shape Service::run returns, the cache stores, and run_matrix
+/// derives its row from.  The report is the one a campaign of this job
+/// alone would produce: threads clamped to the job's own runs, and only
+/// the errors the runner prefixed with this scenario's "name[".  The
+/// fresh campaign's wall numbers stand in for a solo run's: timing is
+/// metadata, not part of the cached contract.  cross_validation is
+/// present iff the job asked for it, empty when the prover did not run.
+void answer(JobResult& result, campaign::ScenarioOutcome outcome,
+            const campaign::CampaignReport& fresh, bool cross_validate) {
+  campaign::CampaignReport report;
+  const std::size_t runs = outcome.runs.size() + outcome.failed_runs;
+  report.threads = std::max<std::size_t>(1, std::min(fresh.threads, runs));
+  report.wall_seconds = fresh.wall_seconds;
+  report.runs_per_second = fresh.runs_per_second;
+  report.total_runs = runs;
+  report.total_violations = outcome.total_violations;
+  report.failed_runs = outcome.failed_runs;
+  report.censored_sessions = outcome.censored_sessions;
+  const std::string prefix = outcome.name + "[";
+  for (const std::string& e : fresh.errors)
+    if (e.starts_with(prefix)) report.errors.push_back(e);
   if (outcome.verification.has_value()) {
-    single.proof_status = outcome.verification->status;
-    single.verdict = verify::verify_status_str(*single.proof_status);
-    if (*single.proof_status == verify::VerifyStatus::kProved) sub.specs_proved = 1;
-    if (outcome.verification->counterexample.has_value()) sub.specs_with_counterexample = 1;
+    result.proof_status = outcome.verification->status;
+    result.verdict = verify::verify_status_str(*result.proof_status);
+    if (*result.proof_status == verify::VerifyStatus::kProved) report.specs_proved = 1;
+    if (outcome.verification->counterexample.has_value()) report.specs_with_counterexample = 1;
   } else {
-    single.verdict = outcome.total_violations > 0 ? "sampled-violations" : "sampled-clean";
+    result.verdict = outcome.total_violations > 0 ? "sampled-violations" : "sampled-clean";
   }
-  sub.scenarios.push_back(outcome);
-  single.report = std::move(sub);
-  if (check.has_value()) {
-    scenarios::CrossValidationReport xval;
-    xval.checks.push_back(*check);
-    single.crossval = std::move(xval);
+  report.scenarios.push_back(std::move(outcome));
+  result.report = std::move(report);
+  if (cross_validate) result.crossval = scenarios::cross_validate(*result.report);
+  finalize_verdict(result, result.expected);
+}
+
+/// A stored answer in the shape answer() writes, or nullopt (miss,
+/// corrupt or foreign entry — a cold run then overwrites it).
+std::optional<JobResult> load_hit(const ResultCache& cache, const std::string& key) {
+  std::optional<util::Json> stored = cache.load_result(key);
+  if (!stored.has_value()) return std::nullopt;
+  try {
+    JobResult hit = JobResult::from_json(*stored);
+    if (hit.report.has_value() && hit.report->scenarios.size() == 1) return hit;
+  } catch (const std::exception&) {
+    // Corrupt entry: a miss.
   }
-  finalize_verdict(single, std::nullopt);
-  return single;
+  return std::nullopt;
+}
+
+/// One pass of the job pipeline over a batch.
+struct Batch {
+  /// One answer per job, in job order.  Until its answer exists a job
+  /// holds an error result (verdict "error") carrying what went wrong.
+  std::vector<JobResult> results;
+  /// Preparation or campaign failures; any entry means the batch
+  /// produced no answers for its misses.
+  std::vector<std::string> errors;
+  /// Row i ran its campaign slot (neither a cache hit nor a duplicate).
+  std::vector<bool> executed;
+  /// The one campaign the misses ran as.
+  campaign::CampaignReport campaign;
+  std::size_t deduped = 0;
+};
+
+/// resolve → cache lookup → collapse duplicate misses → one campaign
+/// with resume/capture slots → answer() per job → store.  Preparation is
+/// all-or-nothing: the first job that cannot be prepared stops the batch
+/// before anything runs.
+Batch run_jobs(std::span<const Job> jobs, const ResultCache* cache) {
+  Batch batch;
+  batch.results.resize(jobs.size());
+  batch.executed.assign(jobs.size(), false);
+  for (JobResult& r : batch.results) {
+    r.verdict = "error";
+    r.cache.enabled = cache != nullptr;
+  }
+
+  struct Prepared {
+    scenarios::ScenarioParams params;
+    campaign::ScenarioSpec spec;
+    std::string result_key;
+    bool hit = false;
+  };
+  std::vector<Prepared> prep(jobs.size());
+  std::size_t threads = 0;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const Job& job = jobs[i];
+    Prepared& p = prep[i];
+    JobResult& result = batch.results[i];
+    try {
+      const scenarios::ScenarioDocument doc = resolve_scenario(job);
+      result.scenario = doc.params.name;
+      result.expected = job.expected.has_value() ? job.expected : doc.expected;
+      p.params = resolved_params(job, doc);
+      p.spec = scenarios::build(p.params);
+    } catch (const std::exception& e) {
+      result.errors.push_back(e.what());
+      batch.errors.push_back(e.what());
+      return batch;
+    }
+    threads = std::max(threads, job.threads);
+    if (cache == nullptr) continue;
+    p.result_key = cache->result_key(p.params, job.cross_validate);
+    if (std::optional<JobResult> hit = load_hit(*cache, p.result_key)) {
+      hit->cache.enabled = true;
+      hit->cache.hits = 1;
+      // The asserted expectation is not part of the key: re-judge the
+      // stored answer against THIS job.
+      finalize_verdict(*hit, result.expected);
+      result = std::move(*hit);
+      p.hit = true;
+    }
+  }
+
+  // Hits are answered from storage; the misses run as ONE campaign.
+  // Sound because per-scenario outcomes are independent of how a
+  // campaign is split — each run derives everything from its own seed
+  // and each spec is verified in isolation.  Identical jobs (same
+  // canonical params digest — name, budgets, seeds, everything
+  // semantic) collapse onto one campaign slot: the proof runs once and
+  // the answer fans out to every duplicate in job order.
+  std::vector<std::size_t> owner;  // first job of each campaign slot
+  std::vector<std::size_t> slot_of(jobs.size());
+  std::vector<campaign::ScenarioSpec> specs;
+  std::map<std::string, std::size_t> slot_by_digest;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (prep[i].hit) continue;
+    const auto [it, inserted] =
+        slot_by_digest.try_emplace(scenarios::params_digest(prep[i].params), specs.size());
+    slot_of[i] = it->second;
+    if (!inserted) {
+      ++batch.deduped;
+      continue;
+    }
+    owner.push_back(i);
+    specs.push_back(std::move(prep[i].spec));
+    batch.executed[i] = true;
+    if (cache != nullptr) batch.results[i].cache.misses = 1;
+  }
+
+  campaign::CampaignOptions options;
+  options.threads = threads;  // 0 = hardware concurrency
+  std::vector<std::string> checkpoint_keys(owner.size());
+  std::vector<verify::Checkpoint> resumes(owner.size());
+  std::vector<verify::Checkpoint> captures(owner.size());
+  if (cache != nullptr) {
+    options.resume.assign(owner.size(), nullptr);
+    options.capture.assign(owner.size(), nullptr);
+    for (std::size_t s = 0; s < owner.size(); ++s) {
+      const scenarios::ScenarioParams& params = prep[owner[s]].params;
+      if (params.mode == campaign::RunMode::kMonteCarlo) continue;
+      checkpoint_keys[s] = cache->checkpoint_key(params);
+      if (std::optional<verify::Checkpoint> ck = cache->load_checkpoint(checkpoint_keys[s])) {
+        resumes[s] = std::move(*ck);
+        options.resume[s] = &resumes[s];
+      }
+      options.capture[s] = &captures[s];
+    }
+  }
+
+  batch.campaign.threads = std::max<std::size_t>(threads, 1);
+  if (!specs.empty()) {
+    try {
+      batch.campaign = campaign::CampaignRunner(options).run(specs);
+    } catch (const std::exception& e) {
+      for (std::size_t i = 0; i < jobs.size(); ++i)
+        if (!prep[i].hit) batch.results[i].errors.push_back(e.what());
+      batch.errors.push_back(e.what());
+      return batch;
+    }
+  }
+
+  // Walked backwards so each slot's owner — its first job, visited last
+  // — takes the outcome and only duplicates copy it.
+  for (std::size_t i = jobs.size(); i-- > 0;) {
+    if (prep[i].hit) continue;
+    campaign::ScenarioOutcome& outcome = batch.campaign.scenarios[slot_of[i]];
+    JobResult& result = batch.results[i];
+    if (batch.executed[i] && outcome.verification.has_value() && outcome.verification->resumed)
+      result.cache.resumes = 1;
+    answer(result,
+           batch.executed[i] ? std::move(outcome) : campaign::ScenarioOutcome(outcome),
+           batch.campaign, jobs[i].cross_validate);
+  }
+
+  if (cache == nullptr) return batch;
+  for (std::size_t s = 0; s < owner.size(); ++s)
+    if (!captures[s].empty()) cache->store_checkpoint(checkpoint_keys[s], captures[s]);
+  // Only a clean campaign's answers are facts about their scenarios (a
+  // run or proof error is neither deterministic nor attributable with
+  // certainty); kOutOfBudget IS deterministic and cacheable — with its
+  // frontier stored above.  Duplicates can still carry a distinct
+  // result_key (cross_validate is part of the key, not of the digest),
+  // so every non-hit job stores its key once.
+  if (!batch.campaign.errors.empty() || batch.campaign.failed_runs != 0) return batch;
+  std::set<std::string> stored_keys;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (prep[i].hit || !stored_keys.insert(prep[i].result_key).second) continue;
+    JobResult& result = batch.results[i];
+    // The stored form carries no "cache" key.
+    const CacheCounters counters = std::exchange(result.cache, CacheCounters{});
+    cache->store_result(prep[i].result_key, result.scenario, result.to_json());
+    result.cache = counters;
+  }
+  return batch;
+}
+
+/// A matrix's rows and merged report in job order, each derived from
+/// its job's answer.  No rows at all when the batch failed.
+MatrixResult merge(Batch batch) {
+  MatrixResult result;
+  result.deduped = batch.deduped;
+  result.errors = std::move(batch.errors);
+  if (!result.errors.empty()) return result;
+
+  campaign::CampaignReport merged;
+  merged.threads = batch.campaign.threads;
+  merged.wall_seconds = batch.campaign.wall_seconds;
+  merged.runs_per_second = batch.campaign.runs_per_second;
+  merged.errors = std::move(batch.campaign.errors);
+  scenarios::CrossValidationReport merged_xval;
+  bool all_ok = true;
+  for (std::size_t i = 0; i < batch.results.size(); ++i) {
+    JobResult& r = batch.results[i];
+    campaign::CampaignReport& report = *r.report;
+    MatrixRow row;
+    row.scenario = r.scenario;
+    row.expected = r.expected;
+    row.status = r.proof_status;
+    row.expected_match = r.expected_match;
+    row.consistent = !r.crossval.has_value() || r.crossval->ok();
+    // Only the row that ran its campaign slot reports the compute wall;
+    // cache hits AND dedup copies report 0 (see MatrixRow::wall_ms).
+    if (batch.executed[i]) row.wall_ms = outcome_wall_ms(report.scenarios[0]);
+    all_ok = all_ok && row.expected_match && row.consistent;
+    result.rows.push_back(std::move(row));
+
+    merged.total_runs += report.total_runs;
+    merged.total_violations += report.total_violations;
+    merged.failed_runs += report.failed_runs;
+    merged.censored_sessions += report.censored_sessions;
+    merged.specs_proved += report.specs_proved;
+    merged.specs_with_counterexample += report.specs_with_counterexample;
+    merged.scenarios.push_back(std::move(report.scenarios[0]));
+    if (r.crossval.has_value())
+      for (scenarios::CrossCheck& c : r.crossval->checks)
+        merged_xval.checks.push_back(std::move(c));
+    result.cache.hits += r.cache.hits;
+    result.cache.misses += r.cache.misses;
+    result.cache.resumes += r.cache.resumes;
+  }
+  result.report = std::move(merged);
+  result.crossval = std::move(merged_xval);
+  result.ok = result.report->ok() && all_ok;
+  return result;
 }
 
 }  // namespace
@@ -118,309 +343,21 @@ Service::Service(ServiceOptions options) : options_(std::move(options)) {
 
 JobResult Service::run(const Job& job) const {
   const auto t0 = std::chrono::steady_clock::now();
-  JobResult result = run_job(job);
+  JobResult result = std::move(run_jobs({&job, 1}, cache_.get()).results[0]);
   // Timing is observed here, never stored: a hit reports its own wall.
   result.wall_ms = ms_since(t0);
   return result;
 }
 
-JobResult Service::run_job(const Job& job) const {
-  JobResult result;
-  result.verdict = "error";
-  result.cache.enabled = cache_ != nullptr;
-
-  scenarios::ScenarioDocument doc;
-  scenarios::ScenarioParams params;
-  campaign::ScenarioSpec spec;
-  std::optional<verify::VerifyStatus> expected;
-  try {
-    doc = resolve_scenario(job);
-    result.scenario = doc.params.name;
-    expected = job.expected.has_value() ? job.expected : doc.expected;
-    result.expected = expected;
-    params = resolved_params(job, doc);
-    spec = scenarios::build(params);
-  } catch (const std::exception& e) {
-    result.errors.push_back(e.what());
-    return result;
-  }
-
-  std::string result_key;
-  if (cache_ != nullptr) {
-    result_key = cache_->result_key(params, job.cross_validate);
-    if (std::optional<util::Json> stored = cache_->load_result(result_key)) {
-      try {
-        JobResult hit = JobResult::from_json(*stored);
-        hit.cache.enabled = true;
-        hit.cache.hits = 1;
-        finalize_verdict(hit, expected);
-        return hit;
-      } catch (const std::exception&) {
-        // Corrupt entry: fall through to a cold run, which overwrites it.
-      }
-    }
-    result.cache.misses = 1;
-  }
-
-  campaign::CampaignOptions options;
-  options.threads = job.threads > 0 ? job.threads : options_.default_threads;
-  verify::Checkpoint resume_ck;
-  verify::Checkpoint capture_ck;
-  std::string checkpoint_key;
-  if (cache_ != nullptr && params.mode != campaign::RunMode::kMonteCarlo) {
-    checkpoint_key = cache_->checkpoint_key(params);
-    if (std::optional<verify::Checkpoint> ck = cache_->load_checkpoint(checkpoint_key)) {
-      resume_ck = std::move(*ck);
-      options.resume.push_back(&resume_ck);
-    }
-    options.capture.push_back(&capture_ck);
-  }
-  try {
-    result.report = campaign::CampaignRunner(options).run(spec);
-  } catch (const std::exception& e) {
-    result.errors.push_back(e.what());
-    return result;
-  }
-
-  const campaign::CampaignReport& report = *result.report;
-  const campaign::ScenarioOutcome& outcome = report.scenarios[0];
-  if (outcome.verification.has_value()) {
-    result.proof_status = outcome.verification->status;
-    result.verdict = verify::verify_status_str(*result.proof_status);
-    if (outcome.verification->resumed) result.cache.resumes = 1;
-  } else {
-    result.verdict = outcome.total_violations > 0 ? "sampled-violations" : "sampled-clean";
-  }
-  if (job.cross_validate) result.crossval = scenarios::cross_validate(report);
-  finalize_verdict(result, expected);
-
-  if (cache_ != nullptr) {
-    if (!capture_ck.empty()) cache_->store_checkpoint(checkpoint_key, capture_ck);
-    // Only clean outcomes are worth remembering (an error or a crashed
-    // run is not a deterministic fact about the scenario); kOutOfBudget
-    // IS deterministic and cacheable — with its frontier stored above.
-    if (result.errors.empty() && report.failed_runs == 0 && report.errors.empty()) {
-      JobResult to_store = result;
-      to_store.cache = CacheCounters{};  // no "cache" key in the stored form
-      cache_->store_result(result_key, to_store.scenario, to_store.to_json());
-    }
-  }
-  return result;
-}
-
 MatrixResult Service::run_matrix(const std::vector<Job>& jobs) const {
   const auto t0 = std::chrono::steady_clock::now();
-  MatrixResult result = run_matrix_jobs(jobs);
-  result.wall_ms = ms_since(t0);
-  return result;
-}
-
-MatrixResult Service::run_matrix_jobs(const std::vector<Job>& jobs) const {
   MatrixResult result;
-  result.cache.enabled = cache_ != nullptr;
-  if (jobs.empty()) {
+  if (jobs.empty())
     result.errors.push_back("matrix needs at least one job");
-    return result;
-  }
-
-  struct PreparedJob {
-    std::optional<verify::VerifyStatus> expected;
-    bool cross_validate = true;
-    scenarios::ScenarioParams params;
-    campaign::ScenarioSpec spec;
-    std::string result_key;
-    std::optional<JobResult> hit;
-  };
-  std::vector<PreparedJob> prep;
-  std::size_t threads = options_.default_threads;
-  prep.reserve(jobs.size());
-  for (const Job& job : jobs) {
-    try {
-      PreparedJob p;
-      const scenarios::ScenarioDocument doc = resolve_scenario(job);
-      p.expected = job.expected.has_value() ? job.expected : doc.expected;
-      p.cross_validate = job.cross_validate;
-      p.params = resolved_params(job, doc);
-      p.spec = scenarios::build(p.params);
-      if (cache_ != nullptr) {
-        p.result_key = cache_->result_key(p.params, p.cross_validate);
-        if (std::optional<util::Json> stored = cache_->load_result(p.result_key)) {
-          try {
-            JobResult hit = JobResult::from_json(*stored);
-            if (hit.report.has_value() && !hit.report->scenarios.empty())
-              p.hit = std::move(hit);
-          } catch (const std::exception&) {
-            // Corrupt entry: treat as a miss.
-          }
-        }
-      }
-      prep.push_back(std::move(p));
-    } catch (const std::exception& e) {
-      result.errors.push_back(e.what());
-      return result;
-    }
-    threads = std::max(threads, job.threads);
-  }
-
-  // Hits are answered from storage; the misses run as ONE campaign.
-  // Sound because per-scenario outcomes are independent of how a
-  // campaign is split — each run derives everything from its own seed
-  // and each spec is verified in isolation.  Identical jobs (same
-  // canonical params digest — name, budgets, seeds, everything
-  // semantic) collapse onto one campaign slot: the proof runs once and
-  // the answer fans out to every duplicate row in job order.
-  constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> miss;  // owning prep index per campaign slot
-  std::vector<campaign::ScenarioSpec> specs;
-  std::vector<std::size_t> slot_of(prep.size(), kNoSlot);
-  std::map<std::string, std::size_t> slot_by_digest;
-  for (std::size_t i = 0; i < prep.size(); ++i) {
-    if (prep[i].hit.has_value()) {
-      ++result.cache.hits;
-      continue;
-    }
-    const auto [it, inserted] =
-        slot_by_digest.try_emplace(scenarios::params_digest(prep[i].params), specs.size());
-    slot_of[i] = it->second;
-    if (!inserted) {
-      ++result.deduped;
-      continue;
-    }
-    miss.push_back(i);
-    specs.push_back(prep[i].spec);
-  }
-  result.cache.misses = miss.size();
-
-  campaign::CampaignOptions options;
-  options.threads = threads;
-  std::vector<verify::Checkpoint> resumes(miss.size());
-  std::vector<verify::Checkpoint> captures(miss.size());
-  if (cache_ != nullptr && !miss.empty()) {
-    options.resume.assign(miss.size(), nullptr);
-    options.capture.assign(miss.size(), nullptr);
-    for (std::size_t j = 0; j < miss.size(); ++j) {
-      const PreparedJob& p = prep[miss[j]];
-      if (p.params.mode == campaign::RunMode::kMonteCarlo) continue;
-      if (std::optional<verify::Checkpoint> ck =
-              cache_->load_checkpoint(cache_->checkpoint_key(p.params))) {
-        resumes[j] = std::move(*ck);
-        options.resume[j] = &resumes[j];
-      }
-      options.capture[j] = &captures[j];
-    }
-  }
-
-  campaign::CampaignReport fresh;
-  fresh.threads = threads > 0 ? threads : 1;
-  if (!specs.empty()) {
-    try {
-      fresh = campaign::CampaignRunner(options).run(specs);
-    } catch (const std::exception& e) {
-      result.errors.push_back(e.what());
-      return result;
-    }
-  }
-  const scenarios::CrossValidationReport fresh_xval =
-      specs.empty() ? scenarios::CrossValidationReport{} : scenarios::cross_validate(fresh);
-
-  // Map campaign slot -> cross-validation check index (one check per
-  // verified slot, in campaign order).
-  std::vector<std::size_t> check_of_slot(specs.size(), kNoSlot);
-  {
-    std::size_t next_check = 0;
-    for (std::size_t s = 0; s < fresh.scenarios.size(); ++s)
-      if (fresh.scenarios[s].verification.has_value()) check_of_slot[s] = next_check++;
-  }
-
-  // Merge back into one report + row list in job order.
-  campaign::CampaignReport merged;
-  merged.threads = fresh.threads;
-  merged.wall_seconds = fresh.wall_seconds;
-  merged.runs_per_second = fresh.runs_per_second;
-  merged.errors = fresh.errors;
-  scenarios::CrossValidationReport merged_xval;
-  std::vector<std::optional<scenarios::CrossCheck>> fresh_checks(prep.size());
-  bool all_ok = true;
-  for (std::size_t i = 0; i < prep.size(); ++i) {
-    campaign::ScenarioOutcome outcome;
-    bool consistent = true;
-    if (prep[i].hit.has_value()) {
-      JobResult& hit = *prep[i].hit;
-      outcome = std::move(hit.report->scenarios[0]);
-      if (hit.crossval.has_value() && !hit.crossval->checks.empty()) {
-        consistent = hit.crossval->checks[0].consistent;
-        merged_xval.checks.push_back(std::move(hit.crossval->checks[0]));
-      }
-    } else {
-      const std::size_t slot = slot_of[i];
-      outcome = fresh.scenarios[slot];  // copy: a slot may answer several rows
-      if (outcome.verification.has_value()) {
-        const scenarios::CrossCheck& check = fresh_xval.checks[check_of_slot[slot]];
-        consistent = check.consistent;
-        fresh_checks[i] = check;
-        merged_xval.checks.push_back(check);
-      }
-      // Resume accounting is per executed verification, not per row.
-      if (miss[slot] == i && outcome.verification.has_value() &&
-          outcome.verification->resumed)
-        ++result.cache.resumes;
-    }
-
-    MatrixRow row;
-    row.scenario = outcome.name;
-    // Only the row that actually executed its campaign slot reports the
-    // compute wall; cache hits AND dedup copies answered without running
-    // report 0 (see MatrixRow::wall_ms).
-    const bool executed = !prep[i].hit.has_value() && miss[slot_of[i]] == i;
-    row.wall_ms = executed ? outcome_wall_ms(outcome) : 0.0;
-    row.expected = prep[i].expected;
-    if (outcome.verification.has_value()) {
-      row.status = outcome.verification->status;
-      row.consistent = consistent || !prep[i].cross_validate;
-    }
-    row.expected_match = !row.expected.has_value() ||
-                         (row.status.has_value() && *row.status == *row.expected);
-    all_ok = all_ok && row.expected_match && row.consistent;
-    result.rows.push_back(std::move(row));
-
-    merged.total_runs += outcome.runs.size();
-    merged.total_violations += outcome.total_violations;
-    merged.failed_runs += outcome.failed_runs;
-    merged.censored_sessions += outcome.censored_sessions;
-    if (outcome.verification.has_value()) {
-      if (outcome.verification->status == verify::VerifyStatus::kProved)
-        ++merged.specs_proved;
-      if (outcome.verification->counterexample.has_value())
-        ++merged.specs_with_counterexample;
-    }
-    merged.scenarios.push_back(std::move(outcome));
-  }
-
-  if (cache_ != nullptr && !miss.empty()) {
-    for (std::size_t j = 0; j < miss.size(); ++j) {
-      if (!captures[j].empty())
-        cache_->store_checkpoint(cache_->checkpoint_key(prep[miss[j]].params), captures[j]);
-    }
-    // Store the misses only out of a fully clean campaign — run/verify
-    // errors are not attributable per scenario with certainty.  Deduped
-    // rows can still carry a distinct result_key (cross_validate is part
-    // of the key but not the campaign digest), so walk every non-hit row
-    // and store each key once.
-    if (fresh.errors.empty() && fresh.failed_runs == 0) {
-      std::set<std::string> stored_keys;
-      for (std::size_t i = 0; i < prep.size(); ++i) {
-        if (prep[i].hit.has_value()) continue;
-        if (!stored_keys.insert(prep[i].result_key).second) continue;
-        const JobResult single =
-            single_scenario_result(merged.scenarios[i], fresh, fresh_checks[i]);
-        cache_->store_result(prep[i].result_key, single.scenario, single.to_json());
-      }
-    }
-  }
-
-  result.report = std::move(merged);
-  result.crossval = std::move(merged_xval);
-  result.ok = result.report->ok() && all_ok;
+  else
+    result = merge(run_jobs(jobs, cache_.get()));
+  result.cache.enabled = cache_ != nullptr;
+  result.wall_ms = ms_since(t0);
   return result;
 }
 

@@ -1,12 +1,16 @@
-// The one entry point of the public API: Service::run(Job) → JobResult.
+// The entry points of the public API: Service::run(Job) → JobResult and
+// Service::run_matrix(jobs) → MatrixResult, one job pipeline under both.
 //
-// The service resolves the job's scenario (registry name or inline
-// document), applies mode/tuning/seed overrides, lowers onto the
-// campaign runtime, executes (Monte-Carlo, exhaustive proof, or both),
-// cross-validates the two sides, and assembles the JobResult.  It NEVER
-// throws: resolution failures, inconsistent parameters, and runtime
-// errors all come back as a JobResult with ok == false and the error
-// text in `errors` — a server loop or the CLI can serialize any outcome.
+// The service resolves each job's scenario (registry name or inline
+// document), applies mode/tuning/seed overrides, looks the job up in
+// the result cache, runs the misses as ONE campaign (Monte-Carlo,
+// exhaustive proof, or both), cross-validates the two sides, and
+// assembles one JobResult per job.  run(job) is the one-job matrix:
+// whichever entry point stored an answer, a cache hit equals the cold
+// run.  The service NEVER throws: resolution failures, inconsistent
+// parameters, and runtime errors all come back as a result with
+// ok == false and the error text in `errors` — a server loop or the CLI
+// can serialize any outcome.
 #pragma once
 
 #include <memory>
@@ -30,9 +34,6 @@ scenarios::ScenarioParams resolved_params(const Job& job,
                                           const scenarios::ScenarioDocument& doc);
 
 struct ServiceOptions {
-  /// Fallback Monte-Carlo thread count for jobs that leave threads == 0
-  /// (0 = hardware concurrency).
-  std::size_t default_threads = 0;
   /// Root of the content-addressed result cache (api/cache.hpp); empty
   /// (the default) disables caching entirely.  Created when missing;
   /// Service construction throws with a path diagnostic when unusable.
@@ -49,33 +50,35 @@ class Service {
  public:
   explicit Service(ServiceOptions options = {});
 
-  /// Execute one job end to end.  With a cache configured: a stored
-  /// result for the job's canonical scenario is returned directly (the
-  /// expectation and ok flag re-derived against THIS job, since the
-  /// asserted expectation is not part of the key); on a miss an
-  /// out-of-budget verification's frontier is stored, and a later run
-  /// with a strictly larger state budget warm-resumes it.  Cached and
-  /// resumed verdicts, counterexamples, and state counts are
-  /// bit-identical to a cold run's; JobResult::cache carries the
-  /// hit/miss/resume accounting.
+  /// Execute one job end to end — run_matrix of that one job, answered
+  /// as a JobResult.  `cross_validation` is present iff
+  /// job.cross_validate is set, and empty when the prover did not run.
+  /// With a cache configured: a stored result for the job's canonical
+  /// scenario is returned directly (the expectation and ok flag
+  /// re-derived against THIS job, since the asserted expectation is not
+  /// part of the key); on a miss an out-of-budget verification's
+  /// frontier is stored, and a later run with a strictly larger state
+  /// budget warm-resumes it.  A hit renders the same JobResult as a
+  /// cold run, timing and the `cache` counters aside; a resumed run's
+  /// verdict, counterexample and state counts equal a cold run's.
   JobResult run(const Job& job) const;
 
   /// Execute several jobs as ONE campaign: every Monte-Carlo run shares
-  /// the thread pool and the report merges deterministically, exactly
-  /// like the scenario matrix.  Row i answers job i.  With a cache,
-  /// jobs whose scenarios hit are answered from storage and only the
-  /// misses run (sound: per-scenario outcomes are independent of how a
-  /// campaign is split); the merged report lists every scenario in job
-  /// order either way.
+  /// the thread pool (the largest job.threads; 0 = hardware
+  /// concurrency) and the report merges deterministically.  Row i
+  /// answers job i and is derived from the JobResult run() would return
+  /// for it — the value the cache stores.  With a cache, jobs whose
+  /// scenarios hit are answered from storage and only the misses run
+  /// (sound: per-scenario outcomes are independent of how a campaign is
+  /// split); the merged report lists every scenario in job order either
+  /// way.  All or nothing: a job that cannot be prepared fails the whole
+  /// matrix with no rows.
   MatrixResult run_matrix(const std::vector<Job>& jobs) const;
 
   /// The configured cache, or nullptr (the `pte cache` subcommands).
   const ResultCache* cache() const { return cache_.get(); }
 
  private:
-  JobResult run_job(const Job& job) const;
-  MatrixResult run_matrix_jobs(const std::vector<Job>& jobs) const;
-
   ServiceOptions options_;
   std::unique_ptr<ResultCache> cache_;
 };

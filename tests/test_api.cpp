@@ -340,6 +340,17 @@ TEST(Service, IllFormedJobsAreErrorResults) {
   both.scenario = scenarios::ScenarioDocument{};
   EXPECT_FALSE(api::Service().run(both).ok);
   EXPECT_FALSE(api::Service().run(api::Job{}).ok);
+
+  // A matrix is prepared all or nothing: one job that cannot be
+  // prepared fails it with no rows, and the error names that job.
+  api::Job good = api::Job::for_scenario("laser-tracheotomy");
+  good.smoke = true;
+  const api::MatrixResult matrix =
+      api::Service().run_matrix({good, api::Job::for_scenario("no-such-scenario")});
+  EXPECT_FALSE(matrix.ok);
+  EXPECT_TRUE(matrix.rows.empty());
+  ASSERT_FALSE(matrix.errors.empty());
+  EXPECT_NE(matrix.errors[0].find("no-such-scenario"), std::string::npos);
 }
 
 TEST(Service, MatrixRunsSeveralJobsAsOneCampaign) {

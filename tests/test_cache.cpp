@@ -7,7 +7,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "api/service.hpp"
 #include "scenarios/registry.hpp"
@@ -57,6 +61,21 @@ std::string fingerprint(const JobResult& r) {
   return out;
 }
 
+/// The JSON a JobResult renders, minus what may differ between a cold
+/// run and a cache hit: wall-clock timings and the cache counters.
+util::Json untimed(util::Json j) {
+  static const std::set<std::string, std::less<>> kMasked = {
+      "wall_ms",    "wall_seconds",    "wall_mean_s", "wall_p50_s",
+      "wall_p99_s", "runs_per_second", "cache"};
+  if (j.is_object()) {
+    std::erase_if(j.as_object(), [](const auto& m) { return kMasked.contains(m.first); });
+    for (auto& m : j.as_object()) m.second = untimed(std::move(m.second));
+  } else if (j.is_array()) {
+    for (util::Json& e : j.as_array()) e = untimed(std::move(e));
+  }
+  return j;
+}
+
 /// A deliberately broken registry entry — its cached entry must carry
 /// the counterexample byte-for-byte.
 std::string violating_scenario() {
@@ -78,9 +97,21 @@ TEST(ResultCache, StoreLoadRoundTripAndCorruptionTolerance) {
   EXPECT_EQ(loaded->dump_canonical(), payload.dump_canonical());
   EXPECT_FALSE(cache.load_result("absent").has_value());
 
+  // An entry of an older schema version is a miss: its JobResult need
+  // not have the shape today's pipeline stores.
+  const fs::path file = fs::path(options.dir) / "results" / "k1.json";
+  {
+    std::ifstream in(file);
+    util::Json wrapper = util::Json::parse(
+        std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>()));
+    wrapper.set("version", 1);
+    std::ofstream(file, std::ios::trunc) << wrapper.dump(2);
+  }
+  EXPECT_FALSE(cache.load_result("k1").has_value());
+
   // A torn / corrupt entry is a miss, never an error.
   {
-    std::ofstream out(fs::path(options.dir) / "results" / "k1.json", std::ios::trunc);
+    std::ofstream out(file, std::ios::trunc);
     out << "{\"schema\": \"ptecps-cache-result\", \"version\"";
   }
   EXPECT_FALSE(cache.load_result("k1").has_value());
@@ -223,6 +254,42 @@ TEST(ServiceCache, MatrixSecondPassIsAllHits) {
   // A solo run of a matrix-cached scenario hits the same entry.
   const JobResult solo = service.run(smoke_job(violating));
   EXPECT_EQ(solo.cache.hits, 1u);
+}
+
+TEST(ServiceCache, HitEqualsTheColdRunWhicheverEntryPointStoredIt) {
+  // run() and run_matrix() store the one JobResult run() returns, so a
+  // hit re-renders the cold answer no matter which call wrote the entry:
+  // every mode, cross-validation on and off, solo or beside another job.
+  const std::vector<std::string> names = {"three-entity-chain", "laser-tracheotomy",
+                                          "adversarial-drop"};
+  int dir_id = 0;
+  for (std::size_t n = 0; n < names.size(); ++n) {
+    for (const campaign::RunMode mode : {campaign::RunMode::kMonteCarlo,
+                                         campaign::RunMode::kVerify, campaign::RunMode::kBoth}) {
+      for (const bool xval : {true, false}) {
+        Job job = smoke_job(names[n]);
+        job.mode = mode;
+        job.cross_validate = xval;
+        Job other = smoke_job(names[(n + 1) % names.size()]);
+        other.mode = campaign::RunMode::kBoth;
+        const std::string cold = untimed(Service().run(job).to_json()).dump(2);
+
+        const std::vector<std::pair<std::string, std::function<void(const Service&)>>> writers = {
+            {"run(job)", [&](const Service& s) { s.run(job); }},
+            {"run_matrix({job})", [&](const Service& s) { s.run_matrix({job}); }},
+            {"run_matrix({other, job})", [&](const Service& s) { s.run_matrix({other, job}); }}};
+        for (const auto& [writer, write] : writers) {
+          SCOPED_TRACE(util::cat(names[n], " mode=", scenarios::run_mode_str(mode),
+                                 " cross_validate=", xval, " written by ", writer));
+          const Service service = cached_service(fresh_dir(util::cat("writer-", dir_id++)));
+          write(service);
+          const JobResult hit = service.run(job);
+          ASSERT_EQ(hit.cache.hits, 1u);
+          EXPECT_EQ(untimed(hit.to_json()).dump(2), cold);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

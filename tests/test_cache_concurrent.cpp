@@ -70,16 +70,29 @@ TEST(CacheConcurrent, SimultaneousSameKeyStoresLeaveOneValidEntry) {
       go.fetch_add(1);
       while (go.load() < kThreads) {  // all start as close together as possible
       }
-      for (int round = 0; round < 50; ++round)
-        cache.store_result(key, "stress", result_payload(t));
+      // Payload lengths differ per writer (as timing fields do run to
+      // run), so two writers sharing one temp file would leave a torn
+      // entry: one payload plus the other's tail.
+      util::Json payload = result_payload(t);
+      payload.set("pad", std::string(64 * static_cast<std::size_t>(t), 'x'));
+      for (int round = 0; round < 50; ++round) cache.store_result(key, "stress", payload);
     });
   for (std::thread& w : writers) w.join();
 
-  // Whoever won the last rename, the entry is whole and parses.
+  // Whoever won the last rename, the entry is whole, parses, and is that
+  // one writer's payload — and no temp file is left behind.
   const std::optional<util::Json> loaded = cache.load_result(key);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->at("verdict").as_string(), "proved");
+  EXPECT_EQ(loaded->at("pad").as_string().size(),
+            64 * static_cast<std::size_t>(loaded->at("marker").as_int()));
   EXPECT_EQ(cache.stats().results, 1u);
+  std::size_t files = 0;
+  for (const auto& entry : fs::directory_iterator(fs::path(cache.dir()) / "results")) {
+    EXPECT_EQ(entry.path().extension(), ".json") << entry.path();
+    ++files;
+  }
+  EXPECT_EQ(files, 1u);
 }
 
 TEST(CacheConcurrent, ManyThreadsOneServiceSharedCache) {
