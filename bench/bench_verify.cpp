@@ -9,10 +9,10 @@
 // timed and allocation-counted, swept across thread counts (results must
 // be bit-identical at every count), and the numbers land in
 // BENCH_verify.json next to the PR-2 baseline so regressions are visible
-// in-repo.  The JSON additionally records per-kernel throughput (scalar
-// vs SIMD on the proof's DBM dimension) and the partial-order reduction's
+// in-repo.  The JSON additionally records the active inner-loop clone
+// of the zone engine (avx2 or scalar) and the partial-order reduction's
 // stored-state shrink on the laser proof and the synthesized three-entity
-// chain — the two effects behind the headline zones/s.
+// chain.
 //
 // Usage: bench_verify [--scenario laser|quickstart] [--losses 2]
 //                     [--injections 2] [--input-changes 1]
@@ -25,7 +25,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <new>
 #include <string>
 #include <thread>
@@ -33,19 +32,17 @@
 
 #include "campaign/scenario.hpp"
 #include "core/synthesis.hpp"
-#include "sim/random.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/text.hpp"
 #include "verify/checker.hpp"
 #include "verify/replay.hpp"
-#include "verify/zone.hpp"
 #include "verify/zone_kernels.hpp"
 
 using namespace ptecps;
 
-// Global allocation counter (shared across the perf benches): allocs/zone
-// is the metric the packed-DBM + free-list work answers to.
+// Global allocation counter (shared across the perf benches), for the
+// allocs/zone column.
 #include "alloc_counter.hpp"
 
 namespace {
@@ -106,72 +103,6 @@ constexpr double kPr2Seconds = 1.94;
 constexpr double kPr2States = 44668.0;
 constexpr double kPr2AllocsPerState = 55.3;
 
-/// Per-kernel throughput on `dim`-dimensional packed matrices: the same
-/// four inner loops zone.cpp dispatches through, timed under the scalar
-/// table and (when the CPU has it) the AVX2 table.  Inputs are random
-/// packed bounds; min is idempotent so repeated passes do identical work.
-util::Json kernel_throughput(std::size_t dim) {
-  const std::size_t total = dim * dim;
-  sim::Rng rng(11);
-  std::vector<std::int64_t> a(total), b(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    a[i] = verify::packed_le(1.0 + static_cast<double>(rng.uniform_int(50)));
-    b[i] = verify::packed_le(1.0 + static_cast<double>(rng.uniform_int(50)));
-  }
-  const std::int64_t d_ik = verify::packed_le(3.0);
-  volatile bool bool_sink = false;
-  volatile std::int64_t sum_sink = 0;
-
-  auto ops_per_sec = [](std::size_t iters, auto&& op) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < iters; ++i) op();
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    return static_cast<double>(iters) / secs;
-  };
-
-  struct KernelOp {
-    const char* name;
-    std::size_t iters;
-    std::function<void(const verify::ZoneKernels&)> op;
-  };
-  const KernelOp kernel_ops[] = {
-      {"min_plus_row", 2'000'000,
-       [&](const verify::ZoneKernels& k) { k.min_plus_row(a.data(), b.data(), d_ik, dim); }},
-      {"leq_all", 1'000'000,
-       [&](const verify::ZoneKernels& k) {
-         bool_sink = k.leq_all(a.data(), b.data(), total);
-       }},
-      {"min_inplace", 1'000'000,
-       [&](const verify::ZoneKernels& k) { k.min_inplace(a.data(), b.data(), total); }},
-      {"shift_sum", 1'000'000,
-       [&](const verify::ZoneKernels& k) { sum_sink = k.shift_sum(a.data(), total, 16); }},
-  };
-  (void)bool_sink;
-  (void)sum_sink;
-
-  const verify::ZoneKernels& scalar = verify::scalar_zone_kernels();
-  const verify::ZoneKernels* simd = verify::avx2_zone_kernels();
-  util::Json out = util::Json::object();
-  out.set("dbm_dim", dim);
-  out.set("active", verify::active_zone_kernels().name);
-  util::Json rows = util::Json::array();
-  for (const KernelOp& ko : kernel_ops) {
-    const double s = ops_per_sec(ko.iters, [&] { ko.op(scalar); });
-    util::Json row = util::Json::object();
-    row.set("kernel", ko.name);
-    row.set("scalar_ops_per_sec", s);
-    if (simd) {
-      const double v = ops_per_sec(ko.iters, [&] { ko.op(*simd); });
-      row.set("simd_ops_per_sec", v);
-      row.set("simd_speedup_x", v / s);
-    }
-    rows.push_back(std::move(row));
-  }
-  out.set("per_kernel", std::move(rows));
-  return out;
-}
-
 /// POR on/off on one spec: same verdict required, stored-state shrink
 /// reported.  Returns a row for BENCH_verify.json's "por" table.
 util::Json por_row(const std::string& name, const verify::CompiledModel& model,
@@ -201,7 +132,7 @@ util::Json por_row(const std::string& name, const verify::CompiledModel& model,
 bool write_verify_json(const campaign::ScenarioSpec& spec,
                        const verify::VerifyInput& input, verify::VerifyOptions opt) {
   const verify::CompiledModel model = verify::compile_model(input);
-  // Warm-up (page faults, zone pool growth), then best-of-3 — identical
+  // Warm-up (page faults, allocator growth), then best-of-3 — identical
   // deterministic work each pass, the max filters out scheduler noise
   // (single passes on small container hosts swing by ~20%).
   opt.threads = 1;
@@ -225,6 +156,7 @@ bool write_verify_json(const campaign::ScenarioSpec& spec,
                     " losses, <= ", opt.max_injections, " injections, <= ",
                     opt.max_input_changes, " input changes"));
   doc.set("hardware_threads", std::thread::hardware_concurrency());
+  doc.set("zone_kernels", verify::active_zone_kernels().name);
   util::Json baseline = util::Json::object();
   baseline.set("seconds", kPr2Seconds);
   baseline.set("states_stored", kPr2States);
@@ -269,10 +201,6 @@ bool write_verify_json(const campaign::ScenarioSpec& spec,
     doc.set("scaling_note",
             "host reports 1 hardware thread: the sweep verifies determinism, "
             "not parallel speedup");
-
-  // Microscopic view: the four dispatched inner loops, scalar vs SIMD,
-  // on this proof's DBM dimension.
-  doc.set("kernels", kernel_throughput(model.clocks.count + 1));
 
   // Partial-order reduction: stored-state shrink on the reference proof
   // and on the synthesized three-entity chain (where interleaving blowup

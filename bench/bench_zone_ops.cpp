@@ -1,26 +1,15 @@
 // Zone-engine microbenchmarks: the packed-DBM primitives the verifier's
 // hot path is made of — up/constrain/reset (successor construction),
 // subset_of (antichain scans), extrapolate/widen (store admission),
-// intersect (full Floyd–Warshall close), copy (pool recycling) — plus
-// the passed-list insert path itself (signature-pruned antichain with
-// subsumption eviction, the same algorithm checker.cpp runs per stored
-// state).
+// intersect (full Floyd–Warshall close), copy — plus the passed-list
+// insert path itself (signature-pruned antichain with subsumption
+// eviction, the same algorithm checker.cpp runs per stored state).
 //
 // Each row reports ops/s and allocs/op from a whole-binary operator-new
-// counter: the zone free list should hold allocs/op at ~0 for every
-// steady-state op, so a regression in the pool shows up here before it
-// shows up in BENCH_verify.json.
-//
-// A second table pins the kernel dispatch (set_zone_kernels_for_test) to
-// run the kernel-bound ops under the scalar and the SIMD implementations
-// on the same inputs, reporting ops/s per arm and the speedup — the
-// guard that keeps the AVX2 path from silently rotting into a slowdown.
+// counter; the header names the active inner-loop clone (avx2 or scalar).
 //
 // Usage: bench_zone_ops [--clocks 17] [--iters 200000]
-// Exit 0 iff every op ran, the free list kept steady-state zone traffic
-// allocation-free (< 0.01 allocs/op on the pooled ops), and — when the
-// CPU has AVX2 — no kernel-bound op ran slower under SIMD than scalar
-// (10% noise margin, best of 3 runs per arm).
+// Exit 0 once every op has run.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -48,12 +37,11 @@ struct Row {
   const char* name;
   double ops_per_sec = 0.0;
   double allocs_per_op = 0.0;
-  bool pooled = true;  // steady-state op: allocs/op must be ~0
 };
 
 /// Run `op` `iters` times, timed and allocation-counted.
 template <typename Fn>
-Row bench(const char* name, std::size_t iters, bool pooled, Fn&& op) {
+Row bench(const char* name, std::size_t iters, Fn&& op) {
   const std::uint64_t a0 = g_allocs.load();
   const auto t0 = steady_clock::now();
   for (std::size_t i = 0; i < iters; ++i) op(i);
@@ -62,7 +50,6 @@ Row bench(const char* name, std::size_t iters, bool pooled, Fn&& op) {
   Row row{name};
   row.ops_per_sec = static_cast<double>(iters) / secs;
   row.allocs_per_op = static_cast<double>(allocs) / static_cast<double>(iters);
-  row.pooled = pooled;
   return row;
 }
 
@@ -101,31 +88,31 @@ int main(int argc, char** argv) {
   // Successor construction primitives, on a recycled working copy.
   {
     Zone scratch = samples[0];
-    rows.push_back(bench("copy (pool hit)", iters, true,
+    rows.push_back(bench("copy", iters,
                          [&](std::size_t i) { scratch = samples[i & 255]; }));
-    rows.push_back(bench("up", iters, true, [&](std::size_t i) {
+    rows.push_back(bench("up", iters, [&](std::size_t i) {
       scratch = samples[i & 255];
       scratch.up();
     }));
     const PackedBound guard = verify::packed_le(7.5);
-    rows.push_back(bench("constrain (incremental close)", iters, true, [&](std::size_t i) {
+    rows.push_back(bench("constrain (incremental close)", iters, [&](std::size_t i) {
       scratch = samples[i & 255];
       scratch.constrain(1 + (i % clocks), 0, guard);
     }));
-    rows.push_back(bench("reset", iters, true, [&](std::size_t i) {
+    rows.push_back(bench("reset", iters, [&](std::size_t i) {
       scratch = samples[i & 255];
       scratch.reset(1 + (i % clocks));
     }));
-    rows.push_back(bench("widen (no close)", iters, true, [&](std::size_t i) {
+    rows.push_back(bench("widen (no close)", iters, [&](std::size_t i) {
       scratch = samples[i & 255];
       scratch.widen(48.0);
     }));
-    rows.push_back(bench("extrapolate (widen + close)", iters / 4, true, [&](std::size_t i) {
+    rows.push_back(bench("extrapolate (widen + close)", iters / 4, [&](std::size_t i) {
       scratch = samples[i & 255];
       scratch.extrapolate(48.0);
     }));
     Zone other = samples[1];
-    rows.push_back(bench("intersect (full close)", iters / 4, true, [&](std::size_t i) {
+    rows.push_back(bench("intersect (full close)", iters / 4, [&](std::size_t i) {
       scratch = samples[i & 255];
       scratch.intersect(other);
     }));
@@ -133,11 +120,11 @@ int main(int argc, char** argv) {
 
   // Store-side primitives.
   volatile bool sink = false;
-  rows.push_back(bench("subset_of", iters, true, [&](std::size_t i) {
+  rows.push_back(bench("subset_of", iters, [&](std::size_t i) {
     sink = samples[i & 255].subset_of(samples[(i + 1) & 255]);
   }));
   volatile std::int64_t sig_sink = 0;
-  rows.push_back(bench("signature", iters, true,
+  rows.push_back(bench("signature", iters,
                        [&](std::size_t i) { sig_sink = samples[i & 255].signature(); }));
 
   // The passed-list insert path: signature-sorted antichain with
@@ -149,7 +136,7 @@ int main(int argc, char** argv) {
     };
     std::vector<Entry> chain;
     sim::Rng insert_rng(7);
-    rows.push_back(bench("passed-list insert", iters / 8, false, [&](std::size_t) {
+    rows.push_back(bench("passed-list insert", iters / 8, [&](std::size_t) {
       Zone z = random_zone(clocks, insert_rng);
       const std::int64_t raw_sig = z.signature();
       auto ge = std::lower_bound(
@@ -178,97 +165,11 @@ int main(int argc, char** argv) {
     }));
   }
 
-  // Scalar-vs-SIMD kernel table: the same workloads, dispatch pinned to
-  // one arm at a time.  Only the ops whose inner loops live in
-  // zone_kernels.cpp appear here (the rest are dispatch-independent).
-  struct KernelRow {
-    const char* name;
-    double scalar = 0.0;
-    double simd = 0.0;
-  };
-  std::vector<KernelRow> krows;
-  bool kernels_ok = true;
-  const verify::ZoneKernels* simd = verify::avx2_zone_kernels();
-  {
-    Zone scratch = samples[0];
-    Zone other = samples[1];
-    const PackedBound guard = verify::packed_le(7.5);
-    volatile bool ksink = false;
-    volatile std::int64_t ksig = 0;
-    auto pinned = [&](const verify::ZoneKernels& k, std::size_t n, auto&& op) {
-      // Best of 3: these loops finish in tens of milliseconds, where a
-      // single scheduler hiccup would otherwise fake a regression.
-      verify::set_zone_kernels_for_test(&k);
-      double best = 0.0;
-      for (int rep = 0; rep < 3; ++rep)
-        best = std::max(best, bench("", n, true, op).ops_per_sec);
-      verify::set_zone_kernels_for_test(nullptr);
-      return best;
-    };
-    auto compare = [&](const char* name, std::size_t n, auto&& op) {
-      KernelRow kr{name};
-      kr.scalar = pinned(verify::scalar_zone_kernels(), n, op);
-      if (simd) kr.simd = pinned(*simd, n, op);
-      krows.push_back(kr);
-    };
-    compare("constrain (min_plus_row)", iters, [&](std::size_t i) {
-      scratch = samples[i & 255];
-      scratch.constrain(1 + (i % clocks), 0, guard);
-    });
-    compare("intersect/close (min+row)", iters / 4, [&](std::size_t i) {
-      scratch = samples[i & 255];
-      scratch.intersect(other);
-    });
-    compare("subset_of (leq_all)", iters, [&](std::size_t i) {
-      ksink = samples[i & 255].subset_of(samples[(i + 1) & 255]);
-    });
-    compare("signature (shift_sum)", iters, [&](std::size_t i) {
-      ksig = samples[i & 255].signature();
-    });
-    (void)ksink;
-    (void)ksig;
-  }
-
-  const Zone::PoolStats pool = Zone::pool_stats();
-  std::printf("zone ops, %zu clocks (%zu-dim packed DBM, %zu iters):\n", clocks,
-              clocks + 1, iters);
+  std::printf("zone ops, %zu clocks (%zu-dim packed DBM, %zu iters, %s loops):\n", clocks,
+              clocks + 1, iters, verify::active_zone_kernels().name);
   std::printf("  %-32s %14s %12s\n", "op", "ops/s", "allocs/op");
-  bool ok = true;
-  for (const Row& r : rows) {
+  for (const Row& r : rows)
     std::printf("  %-32s %14.0f %12.4f\n", r.name, r.ops_per_sec, r.allocs_per_op);
-    if (r.pooled && r.allocs_per_op > 0.01) {
-      std::fprintf(stderr, "bench_zone_ops: '%s' allocated %.4f/op — free list broken?\n",
-                   r.name, r.allocs_per_op);
-      ok = false;
-    }
-  }
-  std::printf("  pool: %llu heap allocs, %llu recycled\n",
-              static_cast<unsigned long long>(pool.heap_allocs),
-              static_cast<unsigned long long>(pool.pool_hits));
-
-  std::printf("kernel dispatch (%s vs %s, best of 3):\n",
-              verify::scalar_zone_kernels().name, simd ? simd->name : "none");
-  std::printf("  %-32s %14s %14s %9s\n", "op", "scalar ops/s", "simd ops/s",
-              "speedup");
-  for (const KernelRow& kr : krows) {
-    if (simd) {
-      std::printf("  %-32s %14.0f %14.0f %8.2fx\n", kr.name, kr.scalar, kr.simd,
-                  kr.simd / kr.scalar);
-      if (kr.simd < 0.9 * kr.scalar) {
-        std::fprintf(stderr,
-                     "bench_zone_ops: '%s' is slower under SIMD (%.0f vs %.0f "
-                     "ops/s) — AVX2 kernel regressed below scalar\n",
-                     kr.name, kr.simd, kr.scalar);
-        kernels_ok = false;
-      }
-    } else {
-      std::printf("  %-32s %14.0f %14s %9s\n", kr.name, kr.scalar, "-", "-");
-    }
-  }
-  if (!simd)
-    std::printf("  (no AVX2 on this CPU/build — scalar column only, no gate)\n");
-
-  ok = ok && kernels_ok;
-  std::printf("%s\n", ok ? "ZONE OPS BENCH PASSED" : "ZONE OPS BENCH FAILED");
-  return ok ? 0 : 1;
+  std::printf("ZONE OPS BENCH PASSED\n");
+  return 0;
 }

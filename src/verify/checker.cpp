@@ -1178,7 +1178,8 @@ class Checker {
     zone_buf_.resize(words);
     r.raw(zone_buf_.data(), sizeof(PackedBound) * words);
     Zone z(c);
-    z.load_raw(zone_buf_.data());
+    if (!z.load_raw(zone_buf_.data()))
+      throw util::BinError("checkpoint: zone word outside the packed range");
     return z;
   }
 

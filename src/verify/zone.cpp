@@ -16,55 +16,73 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr PackedBound kPackedLe0 = 1;  // packed_le(0.0)
 
-// -- per-thread matrix free list --------------------------------------------
-// All zones of one exploration share a single dimension, so recycling by
-// dimension turns the copy/destroy churn of the checker's branching into
-// pointer pops.  Buffers may migrate between threads (created by a
-// producer worker, retired by the consumer shard) — each retire lands in
-// the retiring thread's list, which is exactly where the next copy on
-// that thread needs it.
-struct Pool {
-  std::vector<std::vector<PackedBound*>> free_by_dim;
-  Zone::PoolStats stats;
-  ~Pool() {
-    for (auto& bucket : free_by_dim)
-      for (PackedBound* p : bucket) delete[] p;
-  }
-};
-thread_local Pool t_pool;
-constexpr std::size_t kMaxPooledDim = 128;
-constexpr std::size_t kMaxBucket = 16384;
+// -- the engine's inner loops -------------------------------------------------
+// The shortest-path closure's min-plus row update, the entrywise
+// inclusion scan, entrywise min (intersection) and the inclusion-signature
+// sums stream over contiguous int64 words with no data-dependent
+// branches.  On x86-64 GCC builds each loop is compiled twice, for AVX2
+// and for the baseline ISA, and the loader picks one clone per process
+// from cpuid, so the vectorizer gets four lanes from one plain source.
+// The dynamic vectorizer cost model is what -O3 uses; -O2's default
+// model would leave these loops scalar because they need a tail loop.
+// Both clones perform the same integer operations, so verdicts never
+// depend on the clone.  TSan builds use the baseline loops only: a gcc-12
+// -fsanitize=thread binary holding a target_clones function crashes at
+// startup.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__SANITIZE_THREAD__)
+#define PTE_ZONE_CLONES 1
+#define PTE_ZONE_LOOP \
+  __attribute__((target_clones("avx2", "default"), optimize("vect-cost-model=dynamic")))
+#else
+#define PTE_ZONE_CLONES 0
+#define PTE_ZONE_LOOP
+#endif
 
-PackedBound* pool_get(std::size_t n) {
-  if (n < t_pool.free_by_dim.size()) {
-    auto& bucket = t_pool.free_by_dim[n];
-    if (!bucket.empty()) {
-      ++t_pool.stats.pool_hits;
-      PackedBound* p = bucket.back();
-      bucket.pop_back();
-      return p;
-    }
+/// row_i[j] = min(row_i[j], d_ik + row_k[j]) for j in [0, n), + being
+/// packed bound addition; d_ik is finite, and row_i == row_k is allowed.
+PTE_ZONE_LOOP void min_plus_row(PackedBound* row_i, const PackedBound* row_k,
+                                PackedBound d_ik, std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    const PackedBound via = packed_add(d_ik, row_k[j]);
+    row_i[j] = via < row_i[j] ? via : row_i[j];
   }
-  ++t_pool.stats.heap_allocs;
-  return new PackedBound[n * n];
 }
 
-void pool_put(PackedBound* p, std::size_t n) {
-  if (p == nullptr) return;
-  if (n >= kMaxPooledDim) {
-    delete[] p;
-    return;
+/// a[idx] <= b[idx] for every idx in [0, total)?
+PTE_ZONE_LOOP bool leq_all(const PackedBound* a, const PackedBound* b, std::size_t total) {
+  for (std::size_t idx = 0; idx < total; ++idx) {
+    if (a[idx] > b[idx]) return false;
   }
-  auto& free_by_dim = t_pool.free_by_dim;
-  if (free_by_dim.size() <= n) free_by_dim.resize(n + 1);
-  if (free_by_dim[n].size() >= kMaxBucket) {
-    delete[] p;
-    return;
-  }
-  free_by_dim[n].push_back(p);
+  return true;
+}
+
+/// a[idx] = min(a[idx], b[idx]) for idx in [0, total).
+PTE_ZONE_LOOP void min_inplace(PackedBound* a, const PackedBound* b, std::size_t total) {
+  for (std::size_t idx = 0; idx < total; ++idx) a[idx] = b[idx] < a[idx] ? b[idx] : a[idx];
+}
+
+/// Sum of (d[idx] >> shift) over [0, total).
+PTE_ZONE_LOOP std::int64_t shift_sum(const PackedBound* d, std::size_t total, int shift) {
+  std::int64_t sum = 0;
+  for (std::size_t idx = 0; idx < total; ++idx) sum += d[idx] >> shift;
+  return sum;
+}
+
+/// An uninitialized n×n matrix.
+std::unique_ptr<PackedBound[]> new_matrix(std::size_t n) {
+  return std::make_unique_for_overwrite<PackedBound[]>(n * n);
 }
 
 }  // namespace
+
+const ZoneKernels& active_zone_kernels() {
+#if PTE_ZONE_CLONES
+  static const ZoneKernels active{__builtin_cpu_supports("avx2") ? "avx2" : "scalar"};
+#else
+  static const ZoneKernels active{"scalar"};
+#endif
+  return active;
+}
 
 Bound Bound::inf() { return Bound{kInf, true}; }
 
@@ -99,43 +117,39 @@ Bound unpack(PackedBound w) {
 }
 
 Zone::Zone(std::size_t clocks)
-    : dbm_(pool_get(clocks + 1)), n_(static_cast<std::uint32_t>(clocks + 1)) {
+    : dbm_(new_matrix(clocks + 1)), n_(static_cast<std::uint32_t>(clocks + 1)) {
   // The point "all clocks = 0": x_i - x_j <= 0 for every pair.
-  std::fill(dbm_, dbm_ + static_cast<std::size_t>(n_) * n_, kPackedLe0);
+  std::fill_n(dbm_.get(), static_cast<std::size_t>(n_) * n_, kPackedLe0);
 }
 
 Zone::Zone(const Zone& other)
-    : dbm_(pool_get(other.n_)), n_(other.n_), empty_(other.empty_) {
-  std::memcpy(dbm_, other.dbm_, sizeof(PackedBound) * n_ * n_);
-}
-
-Zone::Zone(Zone&& other) noexcept : dbm_(other.dbm_), n_(other.n_), empty_(other.empty_) {
-  other.dbm_ = nullptr;
+    : dbm_(new_matrix(other.n_)), n_(other.n_), empty_(other.empty_) {
+  std::memcpy(dbm_.get(), other.dbm_.get(), sizeof(PackedBound) * n_ * n_);
 }
 
 Zone& Zone::operator=(const Zone& other) {
   if (this == &other) return *this;
-  if (dbm_ == nullptr || n_ != other.n_) {
-    pool_put(dbm_, n_);
-    dbm_ = pool_get(other.n_);
-  }
+  if (dbm_ == nullptr || n_ != other.n_) dbm_ = new_matrix(other.n_);
   n_ = other.n_;
   empty_ = other.empty_;
-  std::memcpy(dbm_, other.dbm_, sizeof(PackedBound) * n_ * n_);
+  std::memcpy(dbm_.get(), other.dbm_.get(), sizeof(PackedBound) * n_ * n_);
   return *this;
 }
 
-Zone& Zone::operator=(Zone&& other) noexcept {
-  if (this == &other) return *this;
-  std::swap(dbm_, other.dbm_);
-  std::swap(n_, other.n_);
-  empty_ = other.empty_;
-  return *this;
+bool Zone::load_raw(const PackedBound* words) {
+  const std::size_t n = n_;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const PackedBound w = words[i * n + j];
+      const bool valid = i == j ? w == kPackedLe0
+                                : w == kPackedInf || (w > -kPackedInfClamp && w < kPackedInfClamp);
+      if (!valid) return false;
+    }
+  }
+  std::memcpy(dbm_.get(), words, sizeof(PackedBound) * n * n);
+  empty_ = false;
+  return true;
 }
-
-Zone::~Zone() { pool_put(dbm_, n_); }
-
-Zone::PoolStats Zone::pool_stats() { return t_pool.stats; }
 
 Bound Zone::at(std::size_t i, std::size_t j) const { return unpack(packed_at(i, j)); }
 
@@ -146,17 +160,21 @@ PackedBound Zone::packed_at(std::size_t i, std::size_t j) const {
 
 void Zone::close() {
   // Floyd–Warshall shortest paths over the packed-bound semiring: the
-  // inner loop is add + clamp + min over contiguous words, dispatched to
-  // the active (scalar or SIMD) kernel table.
-  const ZoneKernels& kk = active_zone_kernels();
+  // inner loop is add + clamp + min over contiguous words.
   const std::size_t n = n_;
-  PackedBound* d = dbm_;
+  PackedBound* d = dbm_.get();
   for (std::size_t k = 0; k < n; ++k) {
     const PackedBound* row_k = d + k * n;
     for (std::size_t i = 0; i < n; ++i) {
       const PackedBound d_ik = d[i * n + k];
       if (packed_is_inf(d_ik)) continue;
-      kk.min_plus_row(d + i * n, row_k, d_ik, n);
+      min_plus_row(d + i * n, row_k, d_ik, n);
+      // A negative cycle empties the zone.  Stop at once: further pivots
+      // would keep adding the cycle to itself until the words overflow.
+      if (d[i * n + i] < kPackedLe0) {
+        empty_ = true;
+        return;
+      }
     }
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -194,15 +212,14 @@ void Zone::constrain(std::size_t i, std::size_t j, PackedBound w) {
   if (w >= m(i, j)) return;  // no tightening
   m(i, j) = w;
   // Incremental closure: only paths through (i, j) can improve.
-  const ZoneKernels& kk = active_zone_kernels();
   const std::size_t n = n_;
-  PackedBound* d = dbm_;
+  PackedBound* d = dbm_.get();
   const PackedBound* row_j = d + j * n;
   for (std::size_t a = 0; a < n; ++a) {
     const PackedBound d_ai = d[a * n + i];
     if (packed_is_inf(d_ai)) continue;
     const PackedBound through = packed_add(d_ai, w);
-    kk.min_plus_row(d + a * n, row_j, through, n);
+    min_plus_row(d + a * n, row_j, through, n);
   }
   for (std::size_t a = 0; a < n; ++a) {
     if (d[a * n + a] < kPackedLe0) {
@@ -264,12 +281,12 @@ bool widen_entries(PackedBound* d, std::size_t n, double k) {
 
 void Zone::extrapolate(double k) {
   if (empty_) return;
-  if (widen_entries(dbm_, n_, k)) close();
+  if (widen_entries(dbm_.get(), n_, k)) close();
 }
 
 void Zone::widen(double k) {
   if (empty_) return;
-  widen_entries(dbm_, n_, k);
+  widen_entries(dbm_.get(), n_, k);
 }
 
 bool Zone::subset_of(const Zone& other) const {
@@ -277,7 +294,7 @@ bool Zone::subset_of(const Zone& other) const {
   if (empty_) return true;
   if (other.empty_) return false;
   const std::size_t total = static_cast<std::size_t>(n_) * n_;
-  return active_zone_kernels().leq_all(dbm_, other.dbm_, total);
+  return leq_all(dbm_.get(), other.dbm_.get(), total);
 }
 
 void Zone::intersect(const Zone& other) {
@@ -288,7 +305,7 @@ void Zone::intersect(const Zone& other) {
     return;
   }
   const std::size_t total = static_cast<std::size_t>(n_) * n_;
-  active_zone_kernels().min_inplace(dbm_, other.dbm_, total);
+  min_inplace(dbm_.get(), other.dbm_.get(), total);
   close();
 }
 
@@ -367,25 +384,24 @@ std::int64_t Zone::signature() const {
   // below 2^62.  Arithmetic shift is monotone, so pointwise <= (zone
   // inclusion of non-empty canonical zones) implies signature <=.
   const std::size_t total = static_cast<std::size_t>(n_) * n_;
-  return active_zone_kernels().shift_sum(dbm_, total, 16);
+  return shift_sum(dbm_.get(), total, 16);
 }
 
 std::int64_t Zone::lower_signature() const {
-  return active_zone_kernels().shift_sum(dbm_, n_, 8);
+  return shift_sum(dbm_.get(), n_, 8);
 }
 
 Zone::SigPair Zone::signatures() const {
   SigPair p;
-  const ZoneKernels& kk = active_zone_kernels();
   const std::size_t total = static_cast<std::size_t>(n_) * n_;
-  p.sig = kk.shift_sum(dbm_, total, 16);
-  p.lower = kk.shift_sum(dbm_, n_, 8);
+  p.sig = shift_sum(dbm_.get(), total, 16);
+  p.lower = shift_sum(dbm_.get(), n_, 8);
   return p;
 }
 
 bool Zone::operator==(const Zone& other) const {
   return n_ == other.n_ && empty_ == other.empty_ &&
-         std::memcmp(dbm_, other.dbm_, sizeof(PackedBound) * n_ * n_) == 0;
+         std::memcmp(dbm_.get(), other.dbm_.get(), sizeof(PackedBound) * n_ * n_) == 0;
 }
 
 std::string Zone::str(const std::vector<std::string>& clock_names) const {

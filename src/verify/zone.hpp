@@ -14,11 +14,9 @@
 // strictness in the low bit (non-strict = 1), so "tighter" is plain
 // integer "<", min is integer min, and the shortest-path closure's
 // add-compare-store inner loop is branch-light integer arithmetic over
-// contiguous memory.  Matrices come from a per-thread free list, so zone
-// copy/destroy churn during exploration is allocation-free in steady
-// state.  The double+bool `Bound` remains as the external reference
-// representation (and as the oracle the packed arithmetic is
-// property-tested against).
+// contiguous memory.  Each zone owns its matrix on the heap.  The
+// double+bool `Bound` remains as the external reference representation
+// (and as the oracle the packed arithmetic is property-tested against).
 //
 // Operations follow Bengtsson & Yi, "Timed Automata: Semantics,
 // Algorithms and Tools" (algorithms in Fig. 10 there): close (canonical
@@ -28,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -99,10 +98,9 @@ class Zone {
   /// clock).  Starts as the single point "all clocks = 0".
   explicit Zone(std::size_t clocks);
   Zone(const Zone& other);
-  Zone(Zone&& other) noexcept;
+  Zone(Zone&& other) noexcept = default;
   Zone& operator=(const Zone& other);
-  Zone& operator=(Zone&& other) noexcept;
-  ~Zone();
+  Zone& operator=(Zone&& other) noexcept = default;
 
   std::size_t clocks() const { return n_ - 1; }
 
@@ -170,13 +168,13 @@ class Zone {
   /// Raw packed matrix — (clocks()+1)² words, row-major — for the
   /// checkpoint serializer.  load_raw() restores verbatim (no re-close),
   /// so the antichain's widened (deliberately non-canonical) matrices
-  /// survive the round trip bit-for-bit; the caller promises `words`
-  /// describes a non-empty zone of this dimension.
-  const PackedBound* raw() const { return dbm_; }
-  void load_raw(const PackedBound* words) {
-    for (std::size_t i = 0; i < static_cast<std::size_t>(n_) * n_; ++i) dbm_[i] = words[i];
-    empty_ = false;
-  }
+  /// survive the round trip bit-for-bit.  `words` is outside input: it
+  /// is loaded as a non-empty zone of this dimension only if every
+  /// diagonal word is packed_le(0) and every other word is kPackedInf or
+  /// lies strictly between ±kPackedInfClamp, the range packed_add
+  /// assumes.  Otherwise load_raw returns false and leaves the zone as is.
+  const PackedBound* raw() const { return dbm_.get(); }
+  bool load_raw(const PackedBound* words);
 
   /// Monotone inclusion signature: sum of all (packed) entries, scaled to
   /// avoid overflow.  A ⊆ B implies signature(A) <= signature(B), so an
@@ -195,21 +193,13 @@ class Zone {
 
   std::string str(const std::vector<std::string>& clock_names) const;
 
-  /// Free-list statistics for the calling thread (bench_zone_ops):
-  /// matrices handed out fresh from the heap vs. recycled.
-  struct PoolStats {
-    std::uint64_t heap_allocs = 0;
-    std::uint64_t pool_hits = 0;
-  };
-  static PoolStats pool_stats();
-
  private:
   PackedBound& m(std::size_t i, std::size_t j) { return dbm_[i * n_ + j]; }
   const PackedBound& m(std::size_t i, std::size_t j) const { return dbm_[i * n_ + j]; }
   void close();
 
-  PackedBound* dbm_;      // n_*n_ words from the per-thread pool
-  std::uint32_t n_;       // matrix dimension = clocks + 1
+  std::unique_ptr<PackedBound[]> dbm_;  // n_*n_ words, row-major
+  std::uint32_t n_;                     // matrix dimension = clocks + 1
   bool empty_ = false;
 };
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "campaign/scenario.hpp"
 #include "scenarios/builder.hpp"
@@ -14,6 +16,7 @@
 #include "util/text.hpp"
 #include "verify/checkpoint.hpp"
 #include "verify/model.hpp"
+#include "verify/zone.hpp"
 
 namespace ptecps::verify {
 namespace {
@@ -221,6 +224,25 @@ TEST(Checkpoint, CorruptStateFallsBackToColdRun) {
   const VerifyResult r = verify_pte(model, big, &broken, nullptr);
   EXPECT_FALSE(r.resumed);
   EXPECT_EQ(fingerprint(r), fingerprint(cold));
+
+  // A zone word near INT64_MAX in place of the first infinite bound:
+  // closing over it would overflow, so restore rejects the zone and the
+  // run falls back cold.
+  Checkpoint hostile = ck;
+  auto le_bytes = [](std::int64_t word) {
+    std::vector<std::uint8_t> bytes(8);
+    for (int b = 0; b < 8; ++b)
+      bytes[b] = static_cast<std::uint8_t>(static_cast<std::uint64_t>(word) >> (8 * b));
+    return bytes;
+  };
+  const std::vector<std::uint8_t> inf = le_bytes(kPackedInf);
+  const auto at = std::search(hostile.state.begin(), hostile.state.end(), inf.begin(), inf.end());
+  ASSERT_NE(at, hostile.state.end());
+  const std::vector<std::uint8_t> bad = le_bytes(INT64_MAX - 1);
+  std::copy(bad.begin(), bad.end(), at);
+  const VerifyResult h = verify_pte(model, big, &hostile, nullptr);
+  EXPECT_FALSE(h.resumed);
+  EXPECT_EQ(fingerprint(h), fingerprint(cold));
 }
 
 }  // namespace

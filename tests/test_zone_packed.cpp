@@ -8,15 +8,18 @@
 //    randomized small timed models are cross-checked against the naive
 //    exact-equality store (VerifyOptions::subsumption = false), and both
 //    must agree on the verdict;
-//  * the AVX2 kernel table computes bit-identical results to the scalar
-//    reference, both on raw randomized packed matrices and through a full
-//    verification run;
+//  * whole zone operations (constrain, intersect, down, inclusion and
+//    the signatures) agree with a naive double+bool DBM written here, on
+//    random zones of 1-40 clocks, so every 4-lane tail split of a row
+//    and of a matrix occurs in the engine's inner loops;
+//  * load_raw rejects words outside the packed range;
 //  * partial-order reduction preserves verdicts and counterexamples on
 //    randomized models while never storing more states;
 //  * parallel exploration is bit-identical across thread counts, and
 //    threads = 0 resolves to hardware concurrency.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,7 +32,6 @@
 #include "verify/model.hpp"
 #include "verify/replay.hpp"
 #include "verify/zone.hpp"
-#include "verify/zone_kernels.hpp"
 
 namespace ptecps::verify {
 namespace {
@@ -163,49 +165,201 @@ TEST(ZoneWiden, RepresentsTheExtrapolatedSet) {
 }
 
 // ---------------------------------------------------------------------------
-// SIMD kernels vs. the scalar reference
+// Whole zone operations vs. a naive double+bool DBM
 // ---------------------------------------------------------------------------
 
-TEST(ZoneKernels, Avx2MatchesScalarOnRandomMatrices) {
-  const ZoneKernels* simd = avx2_zone_kernels();
-  if (simd == nullptr) GTEST_SKIP() << "no AVX2 on this CPU/build";
-  const ZoneKernels& scalar = scalar_zone_kernels();
-  sim::Rng rng(7);
-  for (int trial = 0; trial < 2000; ++trial) {
-    // Lengths 1..41 cover every vector/tail split (4 lanes per iteration).
-    const std::size_t n = 1 + rng.uniform_int(41);
-    std::vector<std::int64_t> a(n), b(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      a[i] = pack(random_bound(rng));
-      b[i] = pack(random_bound(rng));
+/// The reference: Bound entries, a full Floyd–Warshall after every
+/// operation, entrywise inclusion and plain shift sums over the packed
+/// words.  It shares no loop with the engine.
+struct RefZone {
+  std::size_t n;
+  std::vector<Bound> d;
+  bool empty = false;
+
+  explicit RefZone(std::size_t clocks) : n(clocks + 1), d(n * n, Bound::le(0.0)) {}
+  Bound& at(std::size_t i, std::size_t j) { return d[i * n + j]; }
+  const Bound& at(std::size_t i, std::size_t j) const { return d[i * n + j]; }
+
+  void close() {
+    for (std::size_t k = 0; k < n; ++k)
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+          at(i, j) = bound_min(at(i, j), bound_add(at(i, k), at(k, j)));
+    for (std::size_t i = 0; i < n; ++i)
+      if (bound_lt(at(i, i), Bound::le(0.0))) empty = true;
+  }
+  void up() {
+    for (std::size_t i = 1; i < n; ++i) at(i, 0) = Bound::inf();
+    close();
+  }
+  void reset(std::size_t x) {
+    for (std::size_t j = 0; j < n; ++j) {
+      at(x, j) = at(0, j);
+      at(j, x) = at(j, 0);
     }
-    Bound d;
-    do d = random_bound(rng);
-    while (d.is_inf());  // min_plus_row's contract: d_ik finite
-    const PackedBound d_ik = pack(d);
+    at(x, x) = Bound::le(0.0);
+    close();
+  }
+  void constrain(std::size_t i, std::size_t j, const Bound& b) {
+    at(i, j) = bound_min(at(i, j), b);
+    close();
+  }
+  void intersect(const RefZone& o) {
+    for (std::size_t idx = 0; idx < d.size(); ++idx) d[idx] = bound_min(d[idx], o.d[idx]);
+    close();
+  }
+  void down() {
+    for (std::size_t i = 1; i < n; ++i) {
+      at(0, i) = Bound::le(0.0);
+      for (std::size_t j = 1; j < n; ++j) at(0, i) = bound_min(at(0, i), at(j, i));
+    }
+    close();
+  }
+  bool subset_of(const RefZone& o) const {
+    for (std::size_t idx = 0; idx < d.size(); ++idx)
+      if (bound_lt(o.d[idx], d[idx])) return false;
+    return true;
+  }
+  std::int64_t shift_sum(std::size_t count, int shift) const {
+    std::int64_t sum = 0;
+    for (std::size_t idx = 0; idx < count; ++idx) sum += pack(d[idx]) >> shift;
+    return sum;
+  }
+};
 
-    std::vector<std::int64_t> s_row = a, v_row = a;
-    scalar.min_plus_row(s_row.data(), b.data(), d_ik, n);
-    simd->min_plus_row(v_row.data(), b.data(), d_ik, n);
-    EXPECT_EQ(s_row, v_row) << "min_plus_row, n=" << n;
+/// "" when `z` and `ref` hold the same zone, else the first difference.
+std::string mismatch(const Zone& z, const RefZone& ref) {
+  if (z.is_empty() != ref.empty) return "emptiness differs";
+  if (ref.empty) return "";
+  for (std::size_t i = 0; i < ref.n; ++i)
+    for (std::size_t j = 0; j < ref.n; ++j)
+      if (z.at(i, j) != ref.at(i, j))
+        return "entry (" + std::to_string(i) + ", " + std::to_string(j) + ")";
+  return "";
+}
 
-    // The aliased call close() makes for row i == row k.
-    std::vector<std::int64_t> s_alias = a, v_alias = a;
-    scalar.min_plus_row(s_alias.data(), s_alias.data(), d_ik, n);
-    simd->min_plus_row(v_alias.data(), v_alias.data(), d_ik, n);
-    EXPECT_EQ(s_alias, v_alias) << "aliased min_plus_row, n=" << n;
+/// A bound on a quarter-second grid, exact in both representations.
+Bound grid_bound(sim::Rng& rng, int lo, int hi) {
+  const double v = static_cast<double>(lo + static_cast<int>(rng.uniform_int(hi - lo + 1))) / 4;
+  return rng.bernoulli(0.5) ? Bound::lt(v) : Bound::le(v);
+}
 
-    EXPECT_EQ(scalar.leq_all(a.data(), b.data(), n),
-              simd->leq_all(a.data(), b.data(), n));
-    EXPECT_TRUE(simd->leq_all(a.data(), a.data(), n));
+/// One random operation on both representations; an operation that
+/// empties the zone is checked, then undone, so the walk stays non-empty.
+void random_step(Zone& z, RefZone& ref, sim::Rng& rng) {
+  const std::size_t clocks = ref.n - 1;
+  const std::size_t x = 1 + rng.uniform_int(clocks);
+  const Zone z_before = z;
+  const RefZone ref_before = ref;
+  switch (rng.uniform_int(6)) {
+    case 0:
+      z.up();
+      ref.up();
+      break;
+    case 1:
+      z.reset(x);
+      ref.reset(x);
+      break;
+    case 2: {  // x <= c
+      const Bound b = grid_bound(rng, 0, 80);
+      z.constrain(x, 0, b);
+      ref.constrain(x, 0, b);
+      break;
+    }
+    case 3: {  // x >= c
+      const Bound b = grid_bound(rng, -80, 0);
+      z.constrain(0, x, b);
+      ref.constrain(0, x, b);
+      break;
+    }
+    case 4: {  // x - y <= c
+      const std::size_t y = 1 + rng.uniform_int(clocks);
+      if (y == x) return;
+      const Bound b = grid_bound(rng, -40, 40);
+      z.constrain(x, y, b);
+      ref.constrain(x, y, b);
+      break;
+    }
+    default:
+      z.down();
+      ref.down();
+      break;
+  }
+  ASSERT_EQ(mismatch(z, ref), "") << "clocks=" << clocks;
+  if (ref.empty) {
+    z = z_before;
+    ref = ref_before;
+  }
+}
 
-    std::vector<std::int64_t> s_min = a, v_min = a;
-    scalar.min_inplace(s_min.data(), b.data(), n);
-    simd->min_inplace(v_min.data(), b.data(), n);
-    EXPECT_EQ(s_min, v_min) << "min_inplace, n=" << n;
+TEST(ZoneReference, OperationsMatchANaiveDbm) {
+  sim::Rng rng(7);
+  for (int trial = 0; trial < 240; ++trial) {
+    const std::size_t clocks = 1 + trial % 40;
+    Zone a(clocks), b(clocks);
+    RefZone ra(clocks), rb(clocks);
+    for (int step = 0; step < 8; ++step) {
+      ASSERT_NO_FATAL_FAILURE(random_step(a, ra, rng));
+      ASSERT_NO_FATAL_FAILURE(random_step(b, rb, rng));
+    }
+    EXPECT_EQ(a.subset_of(b), ra.subset_of(rb)) << "clocks=" << clocks;
+    EXPECT_EQ(b.subset_of(a), rb.subset_of(ra)) << "clocks=" << clocks;
+    EXPECT_TRUE(a.subset_of(a));
 
-    EXPECT_EQ(scalar.shift_sum(a.data(), n, 16), simd->shift_sum(a.data(), n, 16));
-    EXPECT_EQ(scalar.shift_sum(a.data(), n, 8), simd->shift_sum(a.data(), n, 8));
+    Zone meet = a;
+    RefZone rmeet = ra;
+    meet.intersect(b);
+    rmeet.intersect(rb);
+    ASSERT_EQ(mismatch(meet, rmeet), "") << "intersect, clocks=" << clocks;
+    if (!rmeet.empty) {
+      EXPECT_EQ(meet.subset_of(a), rmeet.subset_of(ra));
+      EXPECT_EQ(a.subset_of(meet), ra.subset_of(rmeet));
+    }
+
+    const std::size_t total = ra.d.size();
+    for (const auto& [z, ref] : {std::pair<const Zone&, const RefZone&>{a, ra}, {b, rb}}) {
+      EXPECT_EQ(z.signature(), ref.shift_sum(total, 16)) << "clocks=" << clocks;
+      EXPECT_EQ(z.lower_signature(), ref.shift_sum(ref.n, 8)) << "clocks=" << clocks;
+      const Zone::SigPair both = z.signatures();
+      EXPECT_EQ(both.sig, z.signature());
+      EXPECT_EQ(both.lower, z.lower_signature());
+    }
+  }
+}
+
+TEST(ZoneLoadRaw, RejectsWordsOutsideThePackedRange) {
+  Zone z(3);
+  z.up();
+  z.constrain(1, 0, packed_le(5.0));
+  const std::vector<PackedBound> words(z.raw(), z.raw() + 16);
+  Zone loaded(3);
+  ASSERT_TRUE(loaded.load_raw(words.data()));
+  EXPECT_EQ(loaded, z);
+
+  auto loads = [&words](std::size_t idx, PackedBound w) {
+    std::vector<PackedBound> bad = words;
+    bad[idx] = w;
+    Zone target(3);
+    const bool ok = target.load_raw(bad.data());
+    if (!ok) {
+      EXPECT_EQ(target, Zone(3)) << "a rejected load must leave the zone as it was";
+    }
+    return ok;
+  };
+  // Off-diagonal: kPackedInf or strictly inside ±kPackedInfClamp.
+  for (const std::size_t idx : {std::size_t{1}, std::size_t{4}, std::size_t{11}}) {
+    for (const PackedBound w : {INT64_MAX, INT64_MAX - 1, kPackedInf + 1, kPackedInf - 1,
+                                kPackedInfClamp, -kPackedInfClamp, INT64_MIN})
+      EXPECT_FALSE(loads(idx, w)) << "idx " << idx << " word " << w;
+    EXPECT_TRUE(loads(idx, kPackedInf));
+    EXPECT_TRUE(loads(idx, kPackedInfClamp - 1));
+    EXPECT_TRUE(loads(idx, -kPackedInfClamp + 1));
+  }
+  // Diagonal: exactly packed_le(0).
+  for (const std::size_t idx : {std::size_t{0}, std::size_t{5}, std::size_t{15}}) {
+    EXPECT_FALSE(loads(idx, packed_lt(0.0)));
+    EXPECT_FALSE(loads(idx, packed_le(1.0)));
+    EXPECT_FALSE(loads(idx, kPackedInf));
   }
 }
 
@@ -268,38 +422,6 @@ TEST(SubsumptionStore, NeverLosesAReachableViolation) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel determinism
-// ---------------------------------------------------------------------------
-
-std::string fingerprint(const VerifyResult& r) {
-  std::string fp = r.summary();
-  if (r.counterexample.has_value()) fp += "\n" + r.counterexample->str();
-  return fp;
-}
-
-TEST(ZoneKernels, FullVerificationIsBitIdenticalAcrossArms) {
-  const ZoneKernels* simd = avx2_zone_kernels();
-  if (simd == nullptr) GTEST_SKIP() << "no AVX2 on this CPU/build";
-  sim::Rng rng(9);
-  for (int trial = 0; trial < 4; ++trial) {
-    const campaign::ScenarioSpec spec = random_model(rng, trial % 2 == 1);
-    const CompiledModel model = compile_model(spec.verify_input());
-    VerifyOptions opt;
-    opt.max_losses = 1;
-    opt.max_injections = 1;
-    opt.max_states = 400'000;
-    set_zone_kernels_for_test(&scalar_zone_kernels());
-    const VerifyResult scalar_run = verify_pte(model, opt);
-    set_zone_kernels_for_test(simd);
-    const VerifyResult simd_run = verify_pte(model, opt);
-    set_zone_kernels_for_test(nullptr);
-    // Same verdict, same counterexample, same state counts — the dispatch
-    // arm must be unobservable in the result.
-    EXPECT_EQ(fingerprint(scalar_run), fingerprint(simd_run)) << "trial " << trial;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Partial-order reduction vs. the full interleaving exploration
 // ---------------------------------------------------------------------------
 
@@ -338,6 +460,16 @@ TEST(PartialOrderReduction, PreservesVerdictsOnRandomModels) {
     }
   }
   EXPECT_GE(violations_seen, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Parallel determinism
+// ---------------------------------------------------------------------------
+
+std::string fingerprint(const VerifyResult& r) {
+  std::string fp = r.summary();
+  if (r.counterexample.has_value()) fp += "\n" + r.counterexample->str();
+  return fp;
 }
 
 TEST(ParallelChecker, BitIdenticalAcrossThreadCounts) {
