@@ -7,8 +7,10 @@
 //
 // Phases per concurrency level (each client thread owns one framed
 // connection and pulls jobs from a shared counter):
-//   cold: every submission carries a fresh seed_base, so its canonical
-//         digest is new and the daemon must run the proof;
+//   cold: every submission inlines its registry scenario under a name of
+//         its own; the name is part of every key, so neither a stored
+//         result nor a stored proof answers it and the daemon must run
+//         the proof (a fresh seed_base alone would reuse the proof);
 //   warm: a fixed seed_base the bench primed beforehand — every
 //         submission is answered from the shared result cache.
 //
@@ -132,6 +134,17 @@ util::Json job_json(const std::string& scenario, std::uint64_t seed_base) {
   return job;
 }
 
+/// A job no stored result or proof answers: registry entry `scenario`
+/// inlined under the name "<scenario>-cold-<n>".
+util::Json cold_job_json(const std::string& scenario, std::uint64_t n) {
+  scenarios::ScenarioDocument doc =
+      scenarios::export_document(*scenarios::find_scenario(scenario));
+  doc.params.name = util::cat(scenario, "-cold-", n);
+  util::Json job = job_json(scenario, n);
+  job.set("scenario", scenarios::to_json(doc));
+  return job;
+}
+
 util::Json framed_roundtrip(util::Socket& sock, const util::Json& job) {
   util::Json envelope = util::Json::object();
   envelope.set("job", job);
@@ -174,12 +187,12 @@ double percentile(std::vector<double>& sorted, double p) {
 }
 
 /// Run `total` jobs through `concurrency` client connections.  Each
-/// submission's scenario rotates through the registry; its seed_base
-/// comes from `next_seed` (a fresh value per job = guaranteed cold, a
-/// constant = cacheable).
+/// submission's scenario rotates through the registry; `job_of(name)`
+/// renders it (a fresh inline document = guaranteed cold, a fixed
+/// registry job = cacheable).
 PhaseResult run_phase(int port, std::size_t concurrency, std::size_t total,
                       const std::vector<std::string>& names,
-                      const std::function<std::uint64_t(std::size_t)>& seed_of) {
+                      const std::function<util::Json(const std::string&)>& job_of) {
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> failures{0};
   std::vector<std::vector<double>> latencies(concurrency);
@@ -193,8 +206,7 @@ PhaseResult run_phase(int port, std::size_t concurrency, std::size_t total,
         util::write_frame_magic(sock);
         for (std::size_t i; (i = next.fetch_add(1)) < total;) {
           const auto j0 = steady_clock::now();
-          const util::Json resp = framed_roundtrip(
-              sock, job_json(names[i % names.size()], seed_of(i)));
+          const util::Json resp = framed_roundtrip(sock, job_of(names[i % names.size()]));
           latencies[c].push_back(seconds_since(j0) * 1000.0);
           if (!resp.at("ok").as_bool()) ++failures;
         }
@@ -288,8 +300,8 @@ int main(int argc, char** argv) {
               names.size(), jobs, daemon.port);
   bool ok = true;
 
-  // Unique seeds for every cold submission, one fixed seed for warm.
-  std::atomic<std::uint64_t> cold_seed{1000};
+  // A unique document for every cold submission, one fixed job for warm.
+  std::atomic<std::uint64_t> cold_id{1000};
   constexpr std::uint64_t kWarmSeed = 7;
 
   // Prime the warm set: one pass over the registry at the warm seed, so
@@ -314,10 +326,11 @@ int main(int argc, char** argv) {
   std::vector<LevelRow> rows;
   for (const std::size_t level : levels) {
     LevelRow row{level, {}, {}};
-    row.cold = run_phase(daemon.port, level, jobs, names,
-                         [&](std::size_t) { return cold_seed.fetch_add(1); });
+    row.cold = run_phase(daemon.port, level, jobs, names, [&](const std::string& name) {
+      return cold_job_json(name, cold_id.fetch_add(1));
+    });
     row.warm = run_phase(daemon.port, level, jobs, names,
-                         [&](std::size_t) { return kWarmSeed; });
+                         [&](const std::string& name) { return job_json(name, kWarmSeed); });
     ok = ok && row.cold.failures == 0 && row.warm.failures == 0;
     std::printf("c=%-3zu cold %8.1f jobs/s (p95 %7.1f ms)   warm %8.1f jobs/s "
                 "(p95 %6.2f ms)\n",

@@ -24,6 +24,9 @@ constexpr std::string_view kResultSchema = "ptecps-cache-result";
 // 2: an entry is the JobResult Service::run returns, whichever entry
 // point stored it.
 constexpr std::int64_t kResultSchemaVersion = 2;
+constexpr std::string_view kProofSchema = "ptecps-cache-proof";
+constexpr std::int64_t kProofSchemaVersion = 1;
+constexpr std::string_view kProofExtension = ".proof";
 
 std::optional<std::string> read_file(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
@@ -61,12 +64,73 @@ void touch(const fs::path& path) {
   fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
 }
 
+/// The params as the prover sees them: thread counts, the Monte-Carlo
+/// seeds and the mode (verify and both prove alike) fixed, since
+/// ScenarioSpec::verify_input and the checker read none of them.
+scenarios::ScenarioParams prover_view(const scenarios::ScenarioParams& params) {
+  scenarios::ScenarioParams masked = params;
+  masked.verify.threads = 0;
+  masked.seed_base = 0;
+  masked.seed_count = 0;
+  masked.mode = campaign::RunMode::kVerify;
+  return masked;
+}
+
+/// SHA-256 hex over the canonical params, the engine tag and `suffix`.
+std::string key_of(const scenarios::ScenarioParams& masked, std::string_view suffix) {
+  util::Sha256 h;
+  h.update(scenarios::canonical_text(masked));
+  h.update("\n");
+  h.update(verify::kEngineTag);
+  h.update(suffix);
+  const auto sum = h.finish();
+  return util::Sha256::to_hex(sum.data(), sum.size());
+}
+
+/// The payload of a wrapped JSON entry, or nullopt when the file is
+/// missing, torn, or of another schema, version or engine.
+std::optional<util::Json> load_wrapped(const fs::path& path, std::string_view schema,
+                                       std::int64_t version, std::string_view payload) {
+  const std::optional<std::string> bytes = read_file(path);
+  if (!bytes.has_value()) return std::nullopt;
+  try {
+    util::Json wrapper = util::Json::parse(*bytes);
+    util::JsonReader r(wrapper, "cache-entry");
+    if (r.string("schema", "") != schema) return std::nullopt;
+    if (r.uinteger("version", 0) != static_cast<std::uint64_t>(version)) return std::nullopt;
+    if (r.string("engine", "") != verify::kEngineTag) return std::nullopt;
+    r.string("scenario", "");  // informational (pte cache stats greps it)
+    const util::Json* body = r.optional(payload);
+    if (body == nullptr) return std::nullopt;
+    util::Json out = *body;
+    touch(path);
+    return out;
+  } catch (const std::exception&) {
+    return std::nullopt;  // torn/corrupt entry: a miss, never an error
+  }
+}
+
+/// Bytes published, 0 when the write failed.
+std::uint64_t store_wrapped(const fs::path& path, std::string_view schema, std::int64_t version,
+                            const std::string& scenario, std::string_view payload,
+                            util::Json body) {
+  util::Json wrapper = util::Json::object();
+  wrapper.set("schema", std::string(schema));
+  wrapper.set("version", version);
+  wrapper.set("engine", std::string(verify::kEngineTag));
+  wrapper.set("scenario", scenario);
+  wrapper.set(std::string(payload), std::move(body));
+  const std::string text = wrapper.dump(2);
+  return write_file_atomic(path, text.data(), text.size()) ? text.size() : 0;
+}
+
 }  // namespace
 
 util::Json CacheStats::to_json() const {
   util::Json out = util::Json::object();
   out.set("dir", dir);
   out.set("results", results);
+  out.set("proofs", proofs);
   out.set("checkpoints", checkpoints);
   out.set("bytes", bytes);
   out.set("max_bytes", max_bytes);
@@ -88,6 +152,10 @@ std::string ResultCache::result_path(const std::string& key) const {
   return (fs::path(options_.dir) / "results" / (key + ".json")).string();
 }
 
+std::string ResultCache::proof_path(const std::string& key) const {
+  return (fs::path(options_.dir) / "results" / (key + std::string(kProofExtension))).string();
+}
+
 std::string ResultCache::checkpoint_path(const std::string& key) const {
   return (fs::path(options_.dir) / "checkpoints" / (key + ".ckpt")).string();
 }
@@ -97,63 +165,47 @@ std::string ResultCache::result_key(const scenarios::ScenarioParams& params,
   // Thread counts are masked: results are bit-identical at every count.
   scenarios::ScenarioParams masked = params;
   masked.verify.threads = 0;
-  util::Sha256 h;
-  h.update(scenarios::canonical_text(masked));
-  h.update("\n");
-  h.update(verify::kEngineTag);
-  h.update(cross_validate ? "\nxval=1" : "\nxval=0");
-  const auto sum = h.finish();
-  return util::Sha256::to_hex(sum.data(), sum.size());
+  return key_of(masked, cross_validate ? "\nxval=1" : "\nxval=0");
+}
+
+std::string ResultCache::proof_key(const scenarios::ScenarioParams& params) const {
+  return key_of(prover_view(params), "\nproof");
 }
 
 std::string ResultCache::checkpoint_key(const scenarios::ScenarioParams& params) const {
   // The state budget is masked too: any out-of-budget frontier resumes
   // any strictly larger budget (Checkpoint::can_resume re-checks).
-  scenarios::ScenarioParams masked = params;
-  masked.verify.threads = 0;
+  scenarios::ScenarioParams masked = prover_view(params);
   masked.verify.max_states = 0;
-  util::Sha256 h;
-  h.update(scenarios::canonical_text(masked));
-  h.update("\n");
-  h.update(verify::kEngineTag);
-  h.update("\nckpt");
-  const auto sum = h.finish();
-  return util::Sha256::to_hex(sum.data(), sum.size());
+  return key_of(masked, "\nckpt");
 }
 
 std::optional<util::Json> ResultCache::load_result(const std::string& key) const {
-  const fs::path path = result_path(key);
-  const std::optional<std::string> bytes = read_file(path);
-  if (!bytes.has_value()) return std::nullopt;
-  try {
-    util::Json wrapper = util::Json::parse(*bytes);
-    util::JsonReader r(wrapper, "cache-entry");
-    if (r.string("schema", "") != kResultSchema) return std::nullopt;
-    if (r.uinteger("version", 0) != static_cast<std::uint64_t>(kResultSchemaVersion))
-      return std::nullopt;
-    if (r.string("engine", "") != verify::kEngineTag) return std::nullopt;
-    r.string("scenario", "");  // informational (pte cache stats greps it)
-    const util::Json* result = r.optional("result");
-    if (result == nullptr) return std::nullopt;
-    util::Json out = *result;
-    touch(path);
-    return out;
-  } catch (const std::exception&) {
-    return std::nullopt;  // torn/corrupt entry: a miss, never an error
-  }
+  return load_wrapped(result_path(key), kResultSchema, kResultSchemaVersion, "result");
 }
 
 void ResultCache::store_result(const std::string& key, const std::string& scenario,
                                const util::Json& result_json) const {
-  util::Json wrapper = util::Json::object();
-  wrapper.set("schema", std::string(kResultSchema));
-  wrapper.set("version", kResultSchemaVersion);
-  wrapper.set("engine", std::string(verify::kEngineTag));
-  wrapper.set("scenario", scenario);
-  wrapper.set("result", result_json);
-  const std::string text = wrapper.dump(2);
-  write_file_atomic(result_path(key), text.data(), text.size());
-  gc();
+  stored(store_wrapped(result_path(key), kResultSchema, kResultSchemaVersion, scenario,
+                       "result", result_json));
+}
+
+std::optional<campaign::VerificationOutcome> ResultCache::load_proof(
+    const std::string& key) const {
+  const std::optional<util::Json> body =
+      load_wrapped(proof_path(key), kProofSchema, kProofSchemaVersion, "proof");
+  if (!body.has_value()) return std::nullopt;
+  try {
+    return campaign::VerificationOutcome::from_json(*body, "cache-proof");
+  } catch (const std::exception&) {
+    return std::nullopt;  // a proof of another shape: prove again
+  }
+}
+
+void ResultCache::store_proof(const std::string& key, const std::string& scenario,
+                              const campaign::VerificationOutcome& proof) const {
+  stored(store_wrapped(proof_path(key), kProofSchema, kProofSchemaVersion, scenario, "proof",
+                       proof.to_json()));
 }
 
 std::optional<verify::Checkpoint> ResultCache::load_checkpoint(const std::string& key) const {
@@ -172,8 +224,14 @@ std::optional<verify::Checkpoint> ResultCache::load_checkpoint(const std::string
 
 void ResultCache::store_checkpoint(const std::string& key, const verify::Checkpoint& ck) const {
   const std::vector<std::uint8_t> bytes = ck.serialize();
-  write_file_atomic(checkpoint_path(key), bytes.data(), bytes.size());
-  gc();
+  stored(write_file_atomic(checkpoint_path(key), bytes.data(), bytes.size()) ? bytes.size()
+                                                                            : 0);
+}
+
+void ResultCache::stored(std::uint64_t bytes) const {
+  const std::uint64_t seen = bytes_seen_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+  const std::uint64_t stores = stores_since_gc_.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (seen > options_.max_bytes || stores >= kRescanEvery) gc();
 }
 
 CacheStats ResultCache::stats() const {
@@ -184,7 +242,12 @@ CacheStats ResultCache::stats() const {
   for (const char* sub : {"results", "checkpoints"}) {
     for (const auto& entry : fs::directory_iterator(fs::path(options_.dir) / sub, ec)) {
       if (!entry.is_regular_file(ec) || is_temp(entry.path())) continue;
-      (sub[0] == 'r' ? s.results : s.checkpoints) += 1;
+      if (sub[0] == 'c')
+        ++s.checkpoints;
+      else if (entry.path().extension() == kProofExtension)
+        ++s.proofs;
+      else
+        ++s.results;
       s.bytes += entry.file_size(ec);
     }
   }
@@ -223,17 +286,20 @@ std::size_t ResultCache::gc() const {
       entries.push_back(std::move(e));
     }
   }
-  if (total <= options_.max_bytes) return 0;
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.mtime < b.mtime; });
   std::size_t evicted = 0;
-  for (const Entry& e : entries) {
-    if (total <= options_.max_bytes) break;
-    if (fs::remove(e.path, ec)) {
-      total -= e.size;
-      ++evicted;
+  if (total > options_.max_bytes) {
+    std::sort(entries.begin(), entries.end(),
+              [](const Entry& a, const Entry& b) { return a.mtime < b.mtime; });
+    for (const Entry& e : entries) {
+      if (total <= options_.max_bytes) break;
+      if (fs::remove(e.path, ec)) {
+        total -= e.size;
+        ++evicted;
+      }
     }
   }
+  bytes_seen_.store(total, std::memory_order_relaxed);
+  stores_since_gc_.store(0, std::memory_order_relaxed);
   return evicted;
 }
 

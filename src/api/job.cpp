@@ -37,15 +37,25 @@ scenarios::RegistryTuning tuning_from_json(const Json& j, const std::string& con
   return t;
 }
 
-Json cache_to_json(const CacheCounters& c) {
-  Json out = Json::object();
-  out.set("hits", c.hits);
-  out.set("misses", c.misses);
-  out.set("resumes", c.resumes);
-  return out;
+}  // namespace
+
+CacheCounters& CacheCounters::operator+=(const CacheCounters& other) {
+  hits += other.hits;
+  misses += other.misses;
+  proof_hits += other.proof_hits;
+  resumes += other.resumes;
+  enabled = enabled || other.enabled;
+  return *this;
 }
 
-}  // namespace
+Json CacheCounters::to_json() const {
+  Json out = Json::object();
+  out.set("hits", hits);
+  out.set("misses", misses);
+  out.set("proof_hits", proof_hits);
+  out.set("resumes", resumes);
+  return out;
+}
 
 Job Job::for_scenario(std::string registry_name) {
   Job job;
@@ -154,7 +164,7 @@ Json JobResult::to_json() const {
     out.set("cross_validation", std::move(checks));
   }
   if (report.has_value()) out.set("campaign", report->to_json());
-  if (cache.enabled) out.set("cache", cache_to_json(cache));
+  if (cache.enabled) out.set("cache", cache.to_json());
   Json error_list = Json::array();
   for (const std::string& e : errors) error_list.push_back(e);
   out.set("errors", std::move(error_list));
@@ -236,7 +246,7 @@ Json MatrixResult::to_json() const {
   if (wall_ms > 0.0) out.set("wall_ms", wall_ms);
   if (deduped > 0) out.set("deduped", deduped);
   if (report.has_value()) out.set("campaign", report->to_json());
-  if (cache.enabled) out.set("cache", cache_to_json(cache));
+  if (cache.enabled) out.set("cache", cache.to_json());
   Json error_list = Json::array();
   for (const std::string& e : errors) error_list.push_back(e);
   out.set("errors", std::move(error_list));

@@ -46,7 +46,7 @@ struct Job {
   scenarios::RegistryTuning tuning;
   std::optional<std::uint64_t> seed_base;
 
-  /// Monte-Carlo worker threads (0 = hardware concurrency).
+  /// Monte-Carlo worker threads (0 = every CPU the process may use).
   std::size_t threads = 0;
 
   /// Override the scenario attacker's intensity knob (in [0,1]) — the
@@ -75,11 +75,21 @@ struct Job {
 /// serialized under "cache" only when a cache was configured, so
 /// cache-less output is byte-stable across the feature.
 struct CacheCounters {
+  /// Jobs answered whole from a stored JobResult.
   std::size_t hits = 0;
   std::size_t misses = 0;
+  /// Misses whose proof was reused — a stored proof of the same model
+  /// and budgets, or one an earlier job of the same batch ran — so only
+  /// their Monte-Carlo seeds ran.
+  std::size_t proof_hits = 0;
   /// Verifications that warm-resumed from a stored checkpoint.
   std::size_t resumes = 0;
   bool enabled = false;
+
+  /// Sum another call's counters in (enabled when either was).
+  CacheCounters& operator+=(const CacheCounters& other);
+  /// The "cache" block; callers emit it only when `enabled`.
+  util::Json to_json() const;
 };
 
 struct JobResult {

@@ -111,9 +111,9 @@ struct Batch {
 };
 
 /// resolve → cache lookup → collapse duplicate misses → one campaign
-/// with resume/capture slots → answer() per job → store.  Preparation is
-/// all-or-nothing: the first job that cannot be prepared stops the batch
-/// before anything runs.
+/// with resume/capture/proof slots → answer() per job → store.
+/// Preparation is all-or-nothing: the first job that cannot be prepared
+/// stops the batch before anything runs.
 Batch run_jobs(std::span<const Job> jobs, const ResultCache* cache) {
   Batch batch;
   batch.results.resize(jobs.size());
@@ -186,17 +186,36 @@ Batch run_jobs(std::span<const Job> jobs, const ResultCache* cache) {
     if (cache != nullptr) batch.results[i].cache.misses = 1;
   }
 
+  // A result miss that proves looks up its proof: a proof reads the
+  // model and the adversary budgets, never the seeds, so a stored proof
+  // (or one an earlier slot runs in this campaign) answers the prover's
+  // half and the slot runs only its Monte-Carlo seeds.  Only the slot
+  // that proves a key loads its checkpoint and captures a frontier.
   campaign::CampaignOptions options;
-  options.threads = threads;  // 0 = hardware concurrency
+  options.threads = threads;  // 0 = every usable CPU
+  std::vector<std::string> proof_keys;
+  std::map<std::string, std::optional<campaign::VerificationOutcome>> proofs;
+  std::vector<std::size_t> provers;  // slots that run their proof
   std::vector<std::string> checkpoint_keys(owner.size());
   std::vector<verify::Checkpoint> resumes(owner.size());
   std::vector<verify::Checkpoint> captures(owner.size());
   if (cache != nullptr) {
     options.resume.assign(owner.size(), nullptr);
     options.capture.assign(owner.size(), nullptr);
+    options.proof.assign(owner.size(), nullptr);
+    proof_keys.resize(owner.size());
     for (std::size_t s = 0; s < owner.size(); ++s) {
       const scenarios::ScenarioParams& params = prep[owner[s]].params;
       if (params.mode == campaign::RunMode::kMonteCarlo) continue;
+      proof_keys[s] = cache->proof_key(params);
+      const auto [it, first] = proofs.try_emplace(proof_keys[s]);
+      if (first) it->second = cache->load_proof(proof_keys[s]);
+      options.proof[s] = &it->second;
+      if (!first || it->second.has_value()) {
+        batch.results[owner[s]].cache.proof_hits = 1;
+        continue;
+      }
+      provers.push_back(s);
       checkpoint_keys[s] = cache->checkpoint_key(params);
       if (std::optional<verify::Checkpoint> ck = cache->load_checkpoint(checkpoint_keys[s])) {
         resumes[s] = std::move(*ck);
@@ -241,6 +260,10 @@ Batch run_jobs(std::span<const Job> jobs, const ResultCache* cache) {
   // result_key (cross_validate is part of the key, not of the digest),
   // so every non-hit job stores its key once.
   if (!batch.campaign.errors.empty() || batch.campaign.failed_runs != 0) return batch;
+  for (const std::size_t s : provers) {
+    const std::optional<campaign::VerificationOutcome>& ran = proofs.at(proof_keys[s]);
+    if (ran.has_value()) cache->store_proof(proof_keys[s], batch.results[owner[s]].scenario, *ran);
+  }
   std::set<std::string> stored_keys;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (prep[i].hit || !stored_keys.insert(prep[i].result_key).second) continue;
@@ -293,9 +316,7 @@ MatrixResult merge(Batch batch) {
     if (r.crossval.has_value())
       for (scenarios::CrossCheck& c : r.crossval->checks)
         merged_xval.checks.push_back(std::move(c));
-    result.cache.hits += r.cache.hits;
-    result.cache.misses += r.cache.misses;
-    result.cache.resumes += r.cache.resumes;
+    result.cache += r.cache;
   }
   result.report = std::move(merged);
   result.crossval = std::move(merged_xval);

@@ -4,7 +4,8 @@
 // The service resolves each job's scenario (registry name or inline
 // document), applies mode/tuning/seed overrides, looks the job up in
 // the result cache, runs the misses as ONE campaign (Monte-Carlo,
-// exhaustive proof, or both), cross-validates the two sides, and
+// exhaustive proof, or both — a proof stored for the same deployment
+// and budgets is reused, not re-run), cross-validates the two sides, and
 // assembles one JobResult per job.  run(job) is the one-job matrix:
 // whichever entry point stored an answer, a cache hit equals the cold
 // run.  The service NEVER throws: resolution failures, inconsistent
@@ -56,16 +57,19 @@ class Service {
   /// With a cache configured: a stored result for the job's canonical
   /// scenario is returned directly (the expectation and ok flag
   /// re-derived against THIS job, since the asserted expectation is not
-  /// part of the key); on a miss an out-of-budget verification's
-  /// frontier is stored, and a later run with a strictly larger state
-  /// budget warm-resumes it.  A hit renders the same JobResult as a
-  /// cold run, timing and the `cache` counters aside; a resumed run's
-  /// verdict, counterexample and state counts equal a cold run's.
+  /// part of the key); a miss whose deployment and budgets were proved
+  /// before — under any seeds or mode — reuses the stored proof and runs
+  /// only its Monte-Carlo seeds (cache.proof_hits); on a miss an
+  /// out-of-budget verification's frontier is stored, and a later run
+  /// with a strictly larger state budget warm-resumes it.  A hit or a
+  /// proof hit renders the same JobResult as a cold run, timing and the
+  /// `cache` counters aside; a resumed run's verdict, counterexample and
+  /// state counts equal a cold run's.
   JobResult run(const Job& job) const;
 
   /// Execute several jobs as ONE campaign: every Monte-Carlo run shares
-  /// the thread pool (the largest job.threads; 0 = hardware
-  /// concurrency) and the report merges deterministically.  Row i
+  /// the thread pool (the largest job.threads; 0 = every usable
+  /// CPU) and the report merges deterministically.  Row i
   /// answers job i and is derived from the JobResult run() would return
   /// for it — the value the cache stores.  With a cache, jobs whose
   /// scenarios hit are answered from storage and only the misses run

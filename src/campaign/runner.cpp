@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "campaign/context.hpp"
+#include "util/cpus.hpp"
 #include "util/require.hpp"
 #include "util/stats.hpp"
 #include "util/text.hpp"
@@ -67,7 +68,7 @@ CampaignReport CampaignRunner::run(const std::vector<ScenarioSpec>& specs) {
   std::vector<RunSlot> slots(items.size());
 
   std::size_t threads = options_.threads;
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
+  if (threads == 0) threads = util::usable_cpus();
   threads = std::max<std::size_t>(1, std::min(threads, items.size()));
 
   // Work claiming is chunked: one fetch_add hands a worker a contiguous
@@ -132,6 +133,15 @@ CampaignReport CampaignRunner::run(const std::vector<ScenarioSpec>& specs) {
     const ScenarioSpec& spec = specs[si];
     if (spec.mode == RunMode::kMonteCarlo) continue;
     const auto t0 = steady_clock::now();
+    std::optional<VerificationOutcome>* known =
+        si < options_.proof.size() ? options_.proof[si] : nullptr;
+    if (known != nullptr && known->has_value()) {
+      VerificationOutcome reused = **known;
+      reused.resumed = false;
+      reused.wall_seconds = seconds_since(t0);
+      verifications[si] = std::move(reused);
+      continue;
+    }
     VerificationOutcome vo;
     try {
       const verify::VerifyInput input = spec.verify_input();
@@ -161,6 +171,12 @@ CampaignReport CampaignRunner::run(const std::vector<ScenarioSpec>& specs) {
             verify::replay_counterexample(input, *vo.counterexample);
         vo.replay_reproduced = rr.reproduced;
         vo.replay_detail = rr.summary();
+      }
+      // Left for the specs sharing `known`.  How this run reached the
+      // proof (a resume, its wall time) is not part of it.
+      if (known != nullptr) {
+        *known = vo;
+        (*known)->resumed = false;
       }
     } catch (const std::exception& e) {
       verify_errors.push_back(util::cat(spec.name, "[verify]: ", e.what()));
@@ -237,6 +253,34 @@ bool CampaignReport::ok() const {
   return true;
 }
 
+util::Json VerificationOutcome::to_json() const {
+  util::Json vj = util::Json::object();
+  vj.set("status", verify::verify_status_str(status));
+  vj.set("states_explored", states_explored);
+  vj.set("states_stored", states_stored);
+  vj.set("transitions", transitions);
+  vj.set("threads_used", threads_used);
+  vj.set("replay_attempted", replay_attempted);
+  vj.set("replay_reproduced", replay_reproduced);
+  // Only when present, so pre-existing cached reports re-render
+  // byte-identically.
+  if (!replay_detail.empty()) vj.set("replay_detail", replay_detail);
+  // Only when set, so cold-run reports are byte-stable across the
+  // checkpoint feature (and cached JSON written before it).
+  if (resumed) vj.set("resumed", true);
+  // Only when the exploration stored anything, so reports (and cached
+  // JSON) written before the sketch feature re-render byte-identically.
+  if (sketch.distinct > 0) {
+    util::Json sk = util::Json::object();
+    sk.set("distinct", sketch.distinct);
+    sk.set("bits", sketch.bits_hex());
+    vj.set("sketch", std::move(sk));
+  }
+  vj.set("wall_seconds", wall_seconds);
+  if (counterexample.has_value()) vj.set("counterexample", counterexample->to_json());
+  return vj;
+}
+
 util::Json CampaignReport::to_json() const {
   util::Json out = util::Json::object();
   out.set("threads", threads);
@@ -259,36 +303,7 @@ util::Json CampaignReport::to_json() const {
     row.set("wall_mean_s", s.wall_mean_s);
     row.set("wall_p50_s", s.wall_p50_s);
     row.set("wall_p99_s", s.wall_p99_s);
-    if (s.verification.has_value()) {
-      const VerificationOutcome& v = *s.verification;
-      util::Json vj = util::Json::object();
-      vj.set("status", verify::verify_status_str(v.status));
-      vj.set("states_explored", v.states_explored);
-      vj.set("states_stored", v.states_stored);
-      vj.set("transitions", v.transitions);
-      vj.set("threads_used", v.threads_used);
-      vj.set("replay_attempted", v.replay_attempted);
-      vj.set("replay_reproduced", v.replay_reproduced);
-      // Only when present, so pre-existing cached reports re-render
-      // byte-identically.
-      if (!v.replay_detail.empty()) vj.set("replay_detail", v.replay_detail);
-      // Only when set, so cold-run reports are byte-stable across the
-      // checkpoint feature (and cached JSON written before it).
-      if (v.resumed) vj.set("resumed", true);
-      // Only when the exploration stored anything, so reports (and
-      // cached JSON) written before the sketch feature re-render
-      // byte-identically.
-      if (v.sketch.distinct > 0) {
-        util::Json sk = util::Json::object();
-        sk.set("distinct", v.sketch.distinct);
-        sk.set("bits", v.sketch.bits_hex());
-        vj.set("sketch", std::move(sk));
-      }
-      vj.set("wall_seconds", v.wall_seconds);
-      if (v.counterexample.has_value())
-        vj.set("counterexample", v.counterexample->to_json());
-      row.set("verification", std::move(vj));
-    }
+    if (s.verification.has_value()) row.set("verification", s.verification->to_json());
     scenario_list.push_back(std::move(row));
   }
   out.set("scenarios", std::move(scenario_list));
@@ -312,7 +327,17 @@ verify::VerifyStatus status_from_str(util::JsonReader& r, const std::string& s) 
   r.fail("status", util::cat("unknown verification status \"", s, "\""));
 }
 
-VerificationOutcome verification_from_json(const util::Json& j, const std::string& ctx) {
+
+/// Non-finite aggregates serialize as null; read those back as 0.
+double finite_or_zero(util::JsonReader& r, std::string_view key) {
+  const util::Json* j = r.optional(key);
+  return (j != nullptr && j->is_number()) ? j->as_double() : 0.0;
+}
+
+}  // namespace
+
+VerificationOutcome VerificationOutcome::from_json(const util::Json& j,
+                                                   const std::string& ctx) {
   util::JsonReader r(j, ctx);
   VerificationOutcome v;
   v.status = status_from_str(r, r.string("status", ""));
@@ -337,14 +362,6 @@ VerificationOutcome verification_from_json(const util::Json& j, const std::strin
   r.finish();
   return v;
 }
-
-/// Non-finite aggregates serialize as null; read those back as 0.
-double finite_or_zero(util::JsonReader& r, std::string_view key) {
-  const util::Json* j = r.optional(key);
-  return (j != nullptr && j->is_number()) ? j->as_double() : 0.0;
-}
-
-}  // namespace
 
 CampaignReport CampaignReport::from_json(const util::Json& j) {
   util::JsonReader r(j, "campaign");
@@ -376,7 +393,7 @@ CampaignReport CampaignReport::from_json(const util::Json& j) {
       out.wall_p50_s = sr.number("wall_p50_s", 0.0);
       out.wall_p99_s = sr.number("wall_p99_s", 0.0);
       if (const util::Json* v = sr.optional("verification"))
-        out.verification = verification_from_json(*v, "campaign.verification");
+        out.verification = VerificationOutcome::from_json(*v, "campaign.verification");
       sr.finish();
       report.scenarios.push_back(std::move(out));
     }

@@ -27,7 +27,7 @@ struct VerificationOutcome {
   std::size_t states_stored = 0;
   std::size_t transitions = 0;
   /// Worker threads the prover actually ran with (VerifySpec::threads
-  /// resolved — hardware concurrency when 0).
+  /// resolved — util::usable_cpus() when 0).
   std::size_t threads_used = 0;
   std::optional<verify::Counterexample> counterexample;
   /// A replay was run for the counterexample (VerifySpec::replay and a
@@ -47,10 +47,17 @@ struct VerificationOutcome {
   /// through the report JSON, so cache hits still carry coverage.
   verify::StateSketch sketch;
   double wall_seconds = 0.0;
+
+  /// The "verification" object of a report row — also the body of a
+  /// stored proof (api::ResultCache::store_proof).
+  util::Json to_json() const;
+  /// Inverse of to_json (strict; util::JsonError on unknown keys or
+  /// malformed values).  `context` prefixes error messages.
+  static VerificationOutcome from_json(const util::Json& j, const std::string& context);
 };
 
 struct CampaignOptions {
-  /// Worker threads; 0 = hardware concurrency.
+  /// Worker threads; 0 = util::usable_cpus().
   std::size_t threads = 0;
   /// Keep every run's full violation list in the report (the aggregate
   /// counts survive either way).
@@ -64,6 +71,16 @@ struct CampaignOptions {
   /// header otherwise).  Non-owning; the caller keeps them alive.
   std::vector<const verify::Checkpoint*> resume;
   std::vector<verify::Checkpoint*> capture;
+  /// Known proofs, indexed like resume.  When an entry points at an
+  /// outcome, the spec's verification skips compile, explore and replay
+  /// and reports a copy (`resumed` cleared, `wall_seconds` the copy's);
+  /// its Monte-Carlo seeds still run.  When it points at an empty slot,
+  /// the spec proves as usual and a proof that did not throw is left
+  /// there (`resumed` cleared, `wall_seconds` 0) — specs run in index
+  /// order, so specs sharing one slot prove once.  Sound because a proof
+  /// reads the model and the adversary budgets, never the seeds.
+  /// Non-owning, like resume.
+  std::vector<std::optional<VerificationOutcome>*> proof;
 };
 
 /// All runs of one ScenarioSpec, in seed order, plus aggregates.

@@ -42,7 +42,7 @@ struct VerifySpec {
   std::size_t max_input_changes = 1;
   std::size_t max_states = 1'000'000;
   /// Worker threads for the exhaustive check; 0 (the default) resolves
-  /// to std::thread::hardware_concurrency().  The verdict and
+  /// to util::usable_cpus().  The verdict and
   /// counterexample are bit-identical at every value; the resolved count
   /// is reported back as VerificationOutcome::threads_used.
   std::size_t threads = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <set>
 
 #include "util/require.hpp"
@@ -351,14 +350,21 @@ void Engine::add_sampler(std::size_t automaton, VarId v, sim::SimTime period) {
   PTE_REQUIRE(automaton < automata_.size(), "automaton index out of range");
   PTE_REQUIRE(v < automata_[automaton].num_vars(), "variable out of range");
   PTE_REQUIRE(period > 0.0, "sampler period must be positive");
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [this, automaton, v, period, tick] {
-    record(TraceRecord{cont_time_, automaton, TraceKind::kSample, states_[automaton].loc,
-                       states_[automaton].loc, automata_[automaton].var_name(v),
-                       states_[automaton].x[v]});
-    scheduler_.schedule_in(period, *tick);
+  // Each tick re-arms a copy of itself: the scheduler's queue holds the
+  // only instance, so nothing is left behind when the engine goes away.
+  struct Tick {
+    Engine* engine;
+    std::size_t automaton;
+    VarId v;
+    sim::SimTime period;
+    void operator()() const {
+      const auto& st = engine->states_[automaton];
+      engine->record(TraceRecord{engine->cont_time_, automaton, TraceKind::kSample, st.loc,
+                                 st.loc, engine->automata_[automaton].var_name(v), st.x[v]});
+      engine->scheduler_.schedule_in(period, *this);
+    }
   };
-  scheduler_.schedule_at(cont_time_, *tick);
+  scheduler_.schedule_at(cont_time_, Tick{this, automaton, v, period});
 }
 
 sim::SimTime Engine::next_exact_crossing(std::size_t a) const {

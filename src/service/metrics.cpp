@@ -66,6 +66,7 @@ util::Json ServiceMetrics::to_json(std::size_t queue_depth, std::size_t queue_ca
   cache.set("enabled", cache_stats != nullptr);
   cache.set("hits", hits);
   cache.set("misses", misses);
+  cache.set("proof_hits", cache_proof_hits_.load(std::memory_order_relaxed));
   cache.set("resumes", cache_resumes_.load(std::memory_order_relaxed));
   cache.set("hit_rate",
             hits + misses > 0

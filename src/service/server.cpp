@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "service/queue.hpp"
+#include "util/cpus.hpp"
 #include "util/sockio.hpp"
 #include "util/text.hpp"
 
@@ -51,9 +52,7 @@ struct Server::Impl {
       : options(std::move(opts)),
         svc(options.service),
         queue(options.queue_depth),
-        worker_count(options.workers > 0
-                         ? options.workers
-                         : std::max<std::size_t>(1, std::thread::hardware_concurrency())) {}
+        worker_count(options.workers > 0 ? options.workers : util::usable_cpus()) {}
 
   ServerOptions options;
   api::Service svc;

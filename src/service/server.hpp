@@ -38,7 +38,7 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// 0 = ephemeral; port() tells what was bound.
   int port = 0;
-  /// Job-executing worker threads (0 = hardware concurrency).
+  /// Job-executing worker threads (0 = util::usable_cpus()).
   std::size_t workers = 0;
   /// Admission queue capacity; pushes beyond it are rejected.
   std::size_t queue_depth = 64;
@@ -50,7 +50,7 @@ struct ServerOptions {
   std::uint64_t max_states_cap = 0;
   /// Prover threads per job when the job pins none.  The pool already
   /// parallelizes across jobs, so the sane daemon default is 1 —
-  /// `workers` x hardware-concurrency oversubscription is the trap.
+  /// `workers` x usable-CPU oversubscription is the trap.
   std::uint64_t job_verify_threads = 1;
   /// Same for a job's Monte-Carlo worker count.
   std::size_t job_mc_threads = 1;

@@ -14,6 +14,7 @@
 #include <unordered_map>
 
 #include "util/binio.hpp"
+#include "util/cpus.hpp"
 #include "util/require.hpp"
 #include "util/small_vec.hpp"
 #include "util/text.hpp"
@@ -1420,8 +1421,7 @@ class Checker {
 
 VerifyResult Checker::run() {
   std::size_t threads = opt_.threads;
-  if (threads == 0)
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  if (threads == 0) threads = util::usable_cpus();
   shards_.resize(threads);
   Gang gang(threads);
 

@@ -47,8 +47,8 @@ struct VerifyOptions {
   std::size_t max_states = 1'000'000;
   bool check_dwell_bound = true;  // Rule 1 / Theorem 1
   bool check_embedding = true;    // Rule 2 (p1–p3)
-  /// Worker threads for the parallel exploration; 0 = hardware
-  /// concurrency.  Workers steal frontier chunks from a shared
+  /// Worker threads for the parallel exploration; 0 = every CPU the
+  /// process may use (util::usable_cpus()).  Workers steal frontier chunks from a shared
   /// rank-ordered work list, but every store mutation commits through
   /// the canonical (parent rank, branch ordinal) order and the round's
   /// lowest-ranked violation wins — the result (verdict, counterexample,
@@ -169,7 +169,7 @@ struct VerifyResult {
   std::size_t states_stored = 0;
   std::size_t transitions = 0;
   /// Worker threads the exploration actually ran with (the resolved
-  /// value of VerifyOptions::threads — hardware concurrency when 0).
+  /// value of VerifyOptions::threads — util::usable_cpus() when 0).
   std::size_t threads_used = 0;
   /// Exploration re-entered from a warm checkpoint (verify/checkpoint.hpp)
   /// instead of the initial state; all counts above still equal a cold

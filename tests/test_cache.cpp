@@ -1,8 +1,9 @@
 // The content-addressed result cache (api/cache.hpp) and its wiring
 // through Service::run / run_matrix: hits reproduce cold verdicts
 // bit-for-bit, expectations are re-derived per job, out-of-budget
-// frontiers warm-resume, and the store degrades (never errors) on
-// corruption and stays under its size cap.
+// frontiers warm-resume, a job that changes only its seeds reuses the
+// stored proof, and the store degrades (never errors) on corruption and
+// stays under its size cap.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -14,8 +15,10 @@
 #include <vector>
 
 #include "api/service.hpp"
+#include "scenarios/canonical.hpp"
 #include "scenarios/registry.hpp"
 #include "util/text.hpp"
+#include "verify/checker.hpp"
 
 namespace ptecps::api {
 namespace {
@@ -150,6 +153,29 @@ TEST(ResultCache, EvictionKeepsTheStoreUnderItsCap) {
   payload.set("verdict", "proved");
   cache.store_result("a", "s", payload);
   cache.store_result("b", "s", payload);
+  EXPECT_LE(cache.stats().bytes, options.max_bytes);
+}
+
+TEST(ResultCache, EveryStoreLeavesTheStoreUnderItsCap) {
+  // Stores count bytes instead of scanning the store each time; the cap
+  // must hold after every one of them all the same.
+  ResultCache::Options options;
+  options.dir = fresh_dir("evict-counted");
+  options.max_bytes = 6000;  // about four entries
+  const ResultCache cache(options);
+  util::Json payload = util::Json::object();
+  payload.set("blob", std::string(1200, 'x'));
+  for (int i = 0; i < 3 * static_cast<int>(ResultCache::kRescanEvery); ++i) {
+    cache.store_result(util::cat("k", i), "s", payload);
+    ASSERT_LE(cache.stats().bytes, options.max_bytes) << "after store " << i;
+  }
+  EXPECT_GE(cache.stats().results, 3u);  // eviction stops at the cap
+
+  // Another writer's entries are counted by this instance's next scans.
+  const ResultCache other(options);
+  for (int i = 0; i < 8; ++i) other.store_result(util::cat("o", i), "s", payload);
+  for (int i = 0; i < static_cast<int>(ResultCache::kRescanEvery); ++i)
+    cache.store_result(util::cat("m", i), "s", payload);
   EXPECT_LE(cache.stats().bytes, options.max_bytes);
 }
 
@@ -290,6 +316,169 @@ TEST(ServiceCache, HitEqualsTheColdRunWhicheverEntryPointStoredIt) {
       }
     }
   }
+}
+
+/// The prover's answer for `params`, straight from the checker.
+std::string proof_fingerprint(const scenarios::ScenarioParams& params) {
+  const campaign::ScenarioSpec spec = scenarios::build(params);
+  verify::VerifyOptions opt;
+  opt.max_losses = spec.verify.max_losses;
+  opt.max_injections = spec.verify.max_injections;
+  opt.max_input_changes = spec.verify.max_input_changes;
+  opt.max_states = spec.verify.max_states;
+  opt.threads = spec.verify.threads;
+  const verify::VerifyResult r =
+      verify::verify_pte(verify::compile_model(spec.verify_input()), opt);
+  std::string out = util::cat(verify::verify_status_str(r.status), ",", r.states_explored, ",",
+                              r.states_stored, ",", r.transitions, ",", r.sketch.bits_hex());
+  if (r.counterexample.has_value()) out += ";" + r.counterexample->to_json().dump_canonical();
+  return out;
+}
+
+TEST(ResultCache, ProofKeyMasksExactlyWhatTheProverNeverReads) {
+  ResultCache::Options options;
+  options.dir = fresh_dir("proof-key");
+  const ResultCache cache(options);
+  for (const scenarios::RegistryEntry& entry : scenarios::registry()) {
+    SCOPED_TRACE(entry.name);
+    scenarios::ScenarioParams base = scenarios::export_document(entry).params;
+    scenarios::apply_tuning(base, scenarios::RegistryTuning::smoke());
+    const std::string key = cache.proof_key(base);
+
+    // Masked: seeds, thread counts, and verify-vs-both.
+    std::vector<scenarios::ScenarioParams> masked(4, base);
+    masked[0].seed_base += 7;
+    masked[1].seed_count += 3;
+    masked[2].verify.threads = 3;
+    masked[3].mode = base.mode == campaign::RunMode::kBoth ? campaign::RunMode::kVerify
+                                                           : campaign::RunMode::kBoth;
+    for (const scenarios::ScenarioParams& p : masked) EXPECT_EQ(cache.proof_key(p), key);
+    if (entry.name == "three-entity-chain" || entry.name == "adversarial-drop") {
+      const std::string proof = proof_fingerprint(base);
+      for (const scenarios::ScenarioParams& p : masked) EXPECT_EQ(proof_fingerprint(p), proof);
+    }
+
+    // Every other field the canonical digest covers moves the key.
+    scenarios::ScenarioParams p = base;
+    p.name += "-renamed";
+    EXPECT_NE(cache.proof_key(p), key);
+    p = base;
+    p.horizon += 1.0;
+    EXPECT_NE(cache.proof_key(p), key);
+    p = base;
+    p.verify.max_losses += 1;
+    EXPECT_NE(cache.proof_key(p), key);
+    p = base;
+    p.verify.max_states += 1;
+    EXPECT_NE(cache.proof_key(p), key);
+  }
+
+  using attack::AttackerModel;
+  using Mutation = std::function<void(AttackerModel&)>;
+  const std::vector<std::pair<AttackerModel, std::vector<Mutation>>> families = {
+      {AttackerModel::bernoulli(0.3), {[](AttackerModel& a) { a.p += 0.1; }}},
+      {AttackerModel::gilbert_elliott(0.05, 0.4, 0.02, 0.8),
+       {[](AttackerModel& a) { a.p_gb += 0.01; }, [](AttackerModel& a) { a.p_bg += 0.01; },
+        [](AttackerModel& a) { a.loss_good += 0.01; },
+        [](AttackerModel& a) { a.loss_bad += 0.01; }}},
+      {AttackerModel::interference(2.0, 0.5, 0.9, 0.02, 0.25),
+       {[](AttackerModel& a) { a.period += 1.0; }, [](AttackerModel& a) { a.burst += 0.1; },
+        [](AttackerModel& a) { a.loss_burst += 0.05; },
+        [](AttackerModel& a) { a.loss_idle += 0.01; },
+        [](AttackerModel& a) { a.phase += 0.5; }}},
+      {AttackerModel::scripted({true, false, true}),
+       {[](AttackerModel& a) { a.script.push_back(true); }}},
+      {AttackerModel::sustained_jammer(0.8), {[](AttackerModel& a) { a.kill_prob += 0.05; }}},
+      {AttackerModel::reactive_jammer(0.8, 1.0, 0.9),
+       {[](AttackerModel& a) { a.kill_prob += 0.05; },
+        [](AttackerModel& a) { a.sense_prob -= 0.1; },
+        [](AttackerModel& a) { a.jam_len += 0.25; }}},
+  };
+  for (const auto& [family, fields] : families) {
+    scenarios::ScenarioParams base;
+    base.name = "proof-key-probe";
+    base.attacker = family;
+    base.attacker.with_intensity(0.5).with_budget(4);
+    const std::string key = cache.proof_key(base);
+    std::vector<Mutation> all = fields;
+    all.push_back([](AttackerModel& a) { a.intensity = 0.75; });
+    all.push_back([](AttackerModel& a) { a.budget += 1; });
+    all.push_back([](AttackerModel& a) {
+      a.kind = a.kind == AttackerModel::Kind::kBernoulli ? AttackerModel::Kind::kSustainedJammer
+                                                         : AttackerModel::Kind::kBernoulli;
+    });
+    for (std::size_t f = 0; f < all.size(); ++f) {
+      scenarios::ScenarioParams p = base;
+      all[f](p.attacker);
+      EXPECT_NE(cache.proof_key(p), key)
+          << attack::attacker_kind_str(family.kind) << " mutation " << f;
+    }
+  }
+}
+
+TEST(ServiceCache, ProofHitEqualsTheColdRun) {
+  // A job that differs from a stored one only in its seeds misses the
+  // result but reuses the proof: only its Monte-Carlo seeds run, and it
+  // renders what a cache-less run of it renders.
+  const std::vector<std::string> names = {"three-entity-chain", "laser-tracheotomy",
+                                          "adversarial-drop"};
+  int dir_id = 0;
+  for (const std::string& name : names) {
+    for (const campaign::RunMode mode : {campaign::RunMode::kVerify, campaign::RunMode::kBoth}) {
+      for (const bool xval : {true, false}) {
+        SCOPED_TRACE(util::cat(name, " mode=", scenarios::run_mode_str(mode),
+                               " cross_validate=", xval));
+        Job writer = smoke_job(name);
+        writer.mode = mode;
+        writer.cross_validate = xval;
+        writer.seed_base = 1;
+        Job reader = writer;
+        reader.seed_base = 2;
+        const std::string cold = untimed(Service().run(reader).to_json()).dump(2);
+
+        const Service service = cached_service(fresh_dir(util::cat("proof-", dir_id++)));
+        service.run(writer);
+        const JobResult hit = service.run(reader);
+        EXPECT_EQ(hit.cache.hits, 0u);
+        EXPECT_EQ(hit.cache.misses, 1u);
+        EXPECT_EQ(hit.cache.proof_hits, 1u);
+        EXPECT_EQ(untimed(hit.to_json()).dump(2), cold);
+      }
+    }
+  }
+}
+
+TEST(ServiceCache, MatrixDifferingOnlyInSeedsProvesOnce) {
+  const std::string dir = fresh_dir("proof-matrix");
+  Job first = smoke_job("three-entity-chain");
+  first.seed_base = 1;
+  Job second = first;
+  second.seed_base = 2;
+  const Service service = cached_service(dir);
+
+  const MatrixResult m = service.run_matrix({first, second});
+  ASSERT_TRUE(m.errors.empty());
+  EXPECT_EQ(m.cache.hits, 0u);
+  EXPECT_EQ(m.cache.misses, 2u);
+  EXPECT_EQ(m.cache.proof_hits, 1u);
+  EXPECT_EQ(m.deduped, 0u);
+  EXPECT_EQ(service.cache()->stats().proofs, 1u);
+
+  // The shared proof changes no answer.
+  const MatrixResult uncached = Service().run_matrix({first, second});
+  EXPECT_EQ(untimed(m.report->to_json()).dump(2), untimed(uncached.report->to_json()).dump(2));
+
+  // A later solo run with fresh seeds finds the stored proof.
+  Job third = first;
+  third.seed_base = 3;
+  EXPECT_EQ(service.run(third).cache.proof_hits, 1u);
+  const CacheStats stats = service.cache()->stats();
+  EXPECT_EQ(stats.proofs, 1u);
+  EXPECT_EQ(stats.results, 3u);
+
+  // clear() covers proofs too.
+  EXPECT_EQ(service.cache()->clear(), stats.results + stats.proofs + stats.checkpoints);
+  EXPECT_EQ(service.cache()->stats().proofs, 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <sys/socket.h>
 
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <thread>
@@ -171,6 +172,33 @@ TEST(Server, FramedJobMatchesInProcessExecution) {
   EXPECT_EQ(rv->transitions, lv->transitions);
 
   server.drain();
+}
+
+TEST(Server, MetricsCountProofReuseApartFromHits) {
+  service::ServerOptions options;
+  options.workers = 1;
+  options.service.cache_dir = ::testing::TempDir() + "ptecps-server-proof-hits";
+  std::filesystem::remove_all(options.service.cache_dir);
+  service::Server server(options);
+  server.start();
+
+  // Same deployment, fresh seeds: a result miss whose proof is reused.
+  for (const std::uint64_t seed_base : {1, 2}) {
+    Json job = smoke_job_json("three-entity-chain");
+    job.set("mode", "both");
+    job.set("seed_base", seed_base);
+    const Json resp = framed_request(server.port(), job);
+    EXPECT_TRUE(resp.at("ok").as_bool()) << resp.dump(2);
+    EXPECT_EQ(resp.at("result").at("cache").at("proof_hits").as_uint(), seed_base - 1);
+  }
+  const Json cache = server.metrics_json().at("cache");
+  EXPECT_EQ(cache.at("hits").as_uint(), 0u);
+  EXPECT_EQ(cache.at("misses").as_uint(), 2u);
+  EXPECT_EQ(cache.at("proof_hits").as_uint(), 1u);
+  EXPECT_EQ(cache.at("store").at("proofs").as_uint(), 1u);
+
+  server.drain();
+  std::filesystem::remove_all(options.service.cache_dir);
 }
 
 TEST(Server, BareJobAndInvalidPayloadsOverFraming) {

@@ -21,13 +21,13 @@
 
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "campaign/scenario.hpp"
 #include "core/config.hpp"
 #include "scenarios/builder.hpp"
 #include "sim/random.hpp"
+#include "util/cpus.hpp"
 #include "verify/checker.hpp"
 #include "verify/model.hpp"
 #include "verify/replay.hpp"
@@ -520,7 +520,7 @@ TEST(ParallelChecker, BudgetCutoffIsDeterministicAcrossThreads) {
   }
 }
 
-TEST(ParallelChecker, ZeroThreadsResolvesToHardwareConcurrency) {
+TEST(ParallelChecker, ZeroThreadsResolvesToTheUsableCpus) {
   campaign::ScenarioSpec spec;
   spec.name = "laser";
   spec.config = core::PatternConfig::laser_tracheotomy();
@@ -531,8 +531,7 @@ TEST(ParallelChecker, ZeroThreadsResolvesToHardwareConcurrency) {
   opt.max_injections = 1;
   opt.threads = 0;
   const VerifyResult r = verify_pte(model, opt);
-  const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  EXPECT_EQ(r.threads_used, hw);
+  EXPECT_EQ(r.threads_used, util::usable_cpus());
   // Resolution changes nothing but the worker count: same fingerprint as
   // an explicit single-thread run.
   opt.threads = 1;

@@ -37,7 +37,7 @@ constexpr const char* kUsage =
     "  --host H             bind address (default 127.0.0.1)\n"
     "  --port P             TCP port; 0 binds an ephemeral port (default 0)\n"
     "  --port-file FILE     write the bound port to FILE once listening\n"
-    "  --workers N          job worker threads (default: hardware concurrency)\n"
+    "  --workers N          job worker threads (default: every usable CPU)\n"
     "  --queue-depth N      admission queue capacity (default 64); jobs\n"
     "                       beyond it are rejected, not queued\n"
     "  --max-connections N  concurrent connections (default 256)\n"
